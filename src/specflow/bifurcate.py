@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .symlin import REL_ZERO_TOL, as_sym, default_zero_tol
+from .symlin import REL_ZERO_TOL, as_sym
 from .sfpath import (
     Crossing,
     OperatorPath,
+    _band_tol,
     classify_crossings,
     extended_sf,
     locate_crossings,
@@ -153,19 +154,12 @@ def trace_components(
         cuts.extend(c.bracket)
     cuts.append(path.b)
     segments = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(len(crossings) + 1)]
-    ma = path(path.a)
-    tol = default_zero_tol(ma) if zero_tol is None else zero_tol
-    neg_a = int(np.sum(np.linalg.eigvalsh(ma.entries) < -tol))
-    indices = []
-    for lo, hi in segments:
-        mid = 0.5 * (lo + hi)
-        m = path(mid)
-        tol_m = default_zero_tol(m) if zero_tol is None else zero_tol
-        neg_mid = int(np.sum(np.linalg.eigvalsh(m.entries) < -tol_m))
-        indices.append(neg_a - neg_mid)
+    w = path.eigvals([path.a] + [0.5 * (lo + hi) for lo, hi in segments])
+    neg = np.sum(w < -_band_tol(w, zero_tol), axis=1)
+    indices = tuple(int(neg[0] - n) for n in neg[1:])
     return PathComponentTrace(
         segments=tuple(segments),
-        cumulative_index=tuple(indices),
+        cumulative_index=indices,
         distinct_count=len(set(indices)),
     )
 
@@ -203,11 +197,12 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     """Label a lattice of symmetric matrices by flow relative to a base node.
 
     ``matrices[i][j]`` sits at lattice node ``(s_i, t_j)`` of the unit square.
-    Flow is accumulated along lattice edges by breadth-first propagation
-    (passing through singular nodes is allowed; the extended convention keeps
-    edge flows additive), every elementary loop with non-singular corners is
-    checked for zero boundary flow, and labels are reported only at
-    non-singular nodes.
+    The flow along a lattice edge is the drop of the negative eigenvalue count
+    (the extended convention keeps edge flows additive, also through singular
+    nodes), so the flow along any lattice path from the base node to a node
+    is ``neg[base] - neg[node]``. Every elementary loop with non-singular
+    corners is checked for zero boundary flow, and labels are reported only
+    at non-singular nodes.
     """
     rows = [[as_sym(m) for m in row] for row in matrices]
     ns = len(rows)
@@ -220,13 +215,8 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     if any(m.dim != dim for r in rows for m in r):
         raise ValueError("all lattice matrices must share one dimension")
 
-    evals = np.empty((ns, nt, dim))
-    scale = 1.0
-    for i in range(ns):
-        for j in range(nt):
-            w = np.linalg.eigvalsh(rows[i][j].entries)
-            evals[i, j] = w
-            scale = max(scale, float(np.linalg.norm(w)) / math.sqrt(dim))
+    evals = np.linalg.eigvalsh(np.stack([m.entries for r in rows for m in r])).reshape(ns, nt, dim)
+    scale = max(1.0, float(np.max(np.linalg.norm(evals, axis=2))) / math.sqrt(dim))
     tol = REL_ZERO_TOL * scale if zero_tol is None else zero_tol
     neg = np.sum(evals < -tol, axis=2).astype(int)
     singular = np.any(np.abs(evals) <= tol, axis=2)
@@ -237,26 +227,11 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     if singular[bi, bj]:
         raise ValueError("base node is singular")
 
-    # breadth-first accumulation of edge flows from the base node
-    level = np.full((ns, nt), None, dtype=object)
-    level[bi, bj] = 0
-    queue = [(bi, bj)]
-    while queue:
-        i, j = queue.pop(0)
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            u, v = i + di, j + dj
-            if not (0 <= u < ns and 0 <= v < nt):
-                continue
-            edge = int(neg[i, j] - neg[u, v])
-            if level[u, v] is None:
-                level[u, v] = level[i, j] + edge
-                queue.append((u, v))
-
+    # edge flows neg[u] - neg[v] telescope along any lattice path, so the
+    # flow from the base node to a node is the difference of their counts
     index = np.full((ns, nt), None, dtype=object)
-    for i in range(ns):
-        for j in range(nt):
-            if not singular[i, j]:
-                index[i, j] = int(level[i, j])
+    for i, j in zip(*np.nonzero(~singular)):
+        index[i, j] = int(neg[bi, bj] - neg[i, j])
 
     defects = []
     for i in range(ns - 1):

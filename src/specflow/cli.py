@@ -320,16 +320,15 @@ def _hamiltonian_path(payload: dict) -> HamiltonianPath:
     return HamiltonianPath(lambdas=tuple(s["lambda"] for s in payload["samples"]), coeffs=tuple(coeffs))
 
 
-def _eig_trace_rows(path: OperatorPath, n_grid: int) -> list[tuple[float, np.ndarray]]:
+def _krasnoselskii_path(payload: dict) -> OperatorPath:
+    k = np.array(payload["matrix"])
+    return OperatorPath.from_samples(payload["interval"], [lam * np.eye(len(k)) - k for lam in payload["interval"]])
+
+
+def _write_trace(path: OperatorPath, n_grid: int, out_path: str) -> None:
     grid = np.linspace(path.a, path.b, n_grid)
-    return [(float(x), np.linalg.eigvalsh(path(x).entries)) for x in grid]
-
-
-def _write_trace(rows: list[tuple[float, np.ndarray]], out_path: str) -> None:
-    dim = rows[0][1].size
-    header = "lambda," + ",".join(f"eig_{i + 1}" for i in range(dim))
-    lines = [header]
-    for lam, w in rows:
+    lines = ["lambda," + ",".join(f"eig_{i + 1}" for i in range(path.dim))]
+    for lam, w in zip(grid, path.eigvals(grid)):
         lines.append(",".join(f"{v:.17g}" for v in [lam, *w]))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -341,7 +340,7 @@ def _run_sf(config: ProblemConfig, grid_override: int | None):
         n_grid = grid_override or p["grid"]
         path = _operator_path(p)
         result = scan_path(path, n_grid=n_grid, zero_tol=p["zero_tol"], eps_lambda=p["eps_lambda"])
-        return result.to_dict(), _eig_trace_rows(path, n_grid)
+        return result.to_dict(), (path, n_grid)
     p = config.payload
     hpath = _hamiltonian_path(p)
     n_grid = grid_override or p["grid"]
@@ -357,7 +356,7 @@ def _run_sf(config: ProblemConfig, grid_override: int | None):
         "crossings": [c.to_dict() for c in crossings],
         "notes": list(notes),
     }
-    return results, _eig_trace_rows(gpath, n_grid)
+    return results, (gpath, n_grid)
 
 
 def _run_index(config: ProblemConfig):
@@ -366,27 +365,22 @@ def _run_index(config: ProblemConfig):
     return res.to_dict(), None
 
 
-def _run_bifurcate(config: ProblemConfig, grid_override: int | None):
+def _run_bifurcate(config: ProblemConfig, grid_override: int | None, trace: bool):
     p = config.payload
     if config.kind == "matrix_path":
         n_grid = grid_override or p["grid"]
         path = _operator_path(p)
         report = analyze_path(path, n_grid=n_grid, zero_tol=p["zero_tol"], eps_lambda=p["eps_lambda"])
-        trace = trace_components(
+        components = trace_components(
             path, crossings=report.crossings, n_grid=n_grid, zero_tol=p["zero_tol"], eps_lambda=p["eps_lambda"]
         )
         results = report.to_dict()
-        results["components"] = trace.to_dict()
-        return results, _eig_trace_rows(path, n_grid)
+        results["components"] = components.to_dict()
+        return results, (path, n_grid)
     if config.kind == "krasnoselskii":
         n_grid = grid_override or p["grid"]
         report = krasnoselskii(np.array(p["matrix"]), tuple(p["interval"]), n_grid=n_grid, eps_lambda=p["eps_lambda"])
-        path = OperatorPath.from_samples(
-            p["interval"],
-            [p["interval"][0] * np.eye(len(p["matrix"])) - np.array(p["matrix"]),
-             p["interval"][1] * np.eye(len(p["matrix"])) - np.array(p["matrix"])],
-        )
-        return report.to_dict(), _eig_trace_rows(path, n_grid)
+        return report.to_dict(), (_krasnoselskii_path(p), n_grid) if trace else None
     hpath = _hamiltonian_path(p)
     n_grid = grid_override or p["grid"]
     report = coefficient_bounds(hpath, n_grid=n_grid, N_cap=p["n_cap"], t_samples=p["t_samples"])
@@ -440,7 +434,7 @@ def run(argv=None) -> int:
             if args.trials is not None:
                 payload["trials"] = args.trials
             config_bytes = json.dumps({"kind": "verify", **payload}, sort_keys=True).encode()
-            results, trace_rows = _run_verify(payload)
+            results, trace = _run_verify(payload)
         else:
             if not args.config:
                 raise ConfigError(f"subcommand '{args.command}' requires --config")
@@ -454,13 +448,18 @@ def run(argv=None) -> int:
                     f"{{{', '.join(_COMMAND_KINDS[args.command])}}}, got '{config.kind}'"
                 )
             if args.command == "sf":
-                results, trace_rows = _run_sf(config, args.grid)
+                results, trace = _run_sf(config, args.grid)
             elif args.command == "index":
-                results, trace_rows = _run_index(config)
+                results, trace = _run_index(config)
             elif args.command == "bifurcate":
-                results, trace_rows = _run_bifurcate(config, args.grid)
+                results, trace = _run_bifurcate(config, args.grid, bool(args.trace))
             else:
-                results, trace_rows = _run_sweep(config)
+                results, trace = _run_sweep(config)
+        if args.trace:
+            if trace is not None:
+                _write_trace(*trace, args.trace)
+            else:
+                print(f"{TOOL_NAME}: note: --trace is not applicable to this problem kind", file=sys.stderr)
     except (ConfigError, FileNotFoundError) as err:
         print(f"{TOOL_NAME}: config error: {err}", file=sys.stderr)
         return 2
@@ -474,12 +473,6 @@ def run(argv=None) -> int:
         # invalid problem data that slipped past schema validation
         print(f"{TOOL_NAME}: config error: {err}", file=sys.stderr)
         return 2
-
-    if args.trace:
-        if trace_rows:
-            _write_trace(trace_rows, args.trace)
-        else:
-            print(f"{TOOL_NAME}: note: --trace is not applicable to this problem kind", file=sys.stderr)
 
     report = {
         "tool": TOOL_NAME,

@@ -14,6 +14,7 @@ differences compute the spectral flow of coefficient paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +30,6 @@ from .sfpath import (
 )
 
 __all__ = [
-    "SymplecticMatrix",
     "symplectic_matrix",
     "lk_matrix",
     "IndexResult",
@@ -68,17 +68,6 @@ class StabilizationError(RuntimeError):
             "truncated flow did not stabilize below the cap; trace "
             + ", ".join(f"N={n}: sf={s}" for n, s in self.trace)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticMatrix:
-    """The standard symplectic matrix [[0, -Id], [Id, 0]] on R^(2n)."""
-
-    n: int
-
-    @property
-    def entries(self) -> np.ndarray:
-        return symplectic_matrix(self.n)
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
@@ -318,21 +307,20 @@ class GalerkinHessian:
         return self.matrix.dim
 
     def block(self, row: tuple[str, int], col: tuple[str, int]) -> np.ndarray:
-        sl_r, sl_c = self._slice(*row), self._slice(*col)
-        return self.matrix.entries[sl_r, sl_c]
+        for kind, k in (row, col):
+            if kind != "const" and not 1 <= k <= self.N:
+                raise ValueError(f"frequency {k} outside 1..{self.N}")
+            if kind not in ("const", "sin", "cos"):
+                raise ValueError(f"unknown block kind {kind!r}")
+        return self.matrix.entries[_block_slice(2 * self.n, *row), _block_slice(2 * self.n, *col)]
 
-    def _slice(self, kind: str, k: int) -> slice:
-        two_n = 2 * self.n
-        if kind == "const":
-            return slice(0, two_n)
-        if not 1 <= k <= self.N:
-            raise ValueError(f"frequency {k} outside 1..{self.N}")
-        base = two_n * (2 * k - 1)
-        if kind == "sin":
-            return slice(base, base + two_n)
-        if kind == "cos":
-            return slice(base + two_n, base + 2 * two_n)
-        raise ValueError(f"unknown block kind {kind!r}")
+
+def _block_slice(two_n: int, kind: str, k: int) -> slice:
+    # basis columns of the constant block, or of the sin-k / cos-k block
+    if kind == "const":
+        return slice(0, two_n)
+    base = two_n * (2 * k - 1)
+    return slice(base, base + two_n) if kind == "sin" else slice(base + two_n, base + 2 * two_n)
 
 
 def assemble_hessian(coeff: TimePeriodicCoeff, N: int) -> GalerkinHessian:
@@ -364,11 +352,7 @@ def assemble_hessian(coeff: TimePeriodicCoeff, N: int) -> GalerkinHessian:
     def s_of(m: int) -> np.ndarray:
         return coeff.sin_terms[m - 1] if 1 <= m <= m_band else zero
 
-    def sl(kind: str, k: int) -> slice:
-        if kind == "const":
-            return slice(0, two_n)
-        base = two_n * (2 * k - 1)
-        return slice(base, base + two_n) if kind == "sin" else slice(base + two_n, base + 2 * two_n)
+    sl = functools.partial(_block_slice, two_n)
 
     # constant block and its couplings to the harmonics of A
     q[sl("const", 0), sl("const", 0)] = 2.0 * pi * coeff.a0

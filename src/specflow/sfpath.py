@@ -7,8 +7,10 @@ eigenvalues moving from negative to positive minus the reverse, with endpoint
 kernels pushed to the positive side (equivalent to translating the path by
 ``+delta * Id`` for a small ``delta``), so it is defined even when endpoints
 are singular. In finite dimensions the total equals the difference of endpoint
-Morse indices; crossings are localized separately by grid scanning plus
-bisection.
+Morse indices. Crossings are localized by grid scanning plus bisection and
+partition the domain into cells with clear ends (no eigenvalue near zero);
+the local flows over that partition sum to ``total_sf`` by construction.
+Many parameters are evaluated at once with :meth:`OperatorPath.eigvals`.
 
 All paths are immutable after construction and every operation is pure, so
 grid evaluations may run in parallel and merge deterministically in lambda
@@ -27,6 +29,7 @@ import numpy as np
 from .symlin import (
     REL_ZERO_TOL,
     SymMatrix,
+    _lapack,
     as_sym,
     default_zero_tol,
     inertia,
@@ -64,6 +67,12 @@ DEFAULT_N_GRID = 256
 REFINE_CAP = 60
 
 _JUNCTION_TOL = 1e-12
+
+#: Byte budget of one stacked eigen-solve in :meth:`OperatorPath.eigvals`, so
+#: peak memory does not grow with the number of parameters. Small matrices
+#: still share one solve by the hundred; from dimension 128 on a chunk is one
+#: matrix, where the solve itself dominates.
+_CHUNK_BYTES = 1 << 17
 
 
 class EndpointCrossingError(RuntimeError):
@@ -112,32 +121,74 @@ class OperatorPath:
     def is_grid(self) -> bool:
         return self._fn is None
 
-    def _check_domain(self, lam: float) -> float:
+    def _domain(self, lams) -> np.ndarray:
+        lams = np.asarray(lams, dtype=float).reshape(-1)
         slack = 1e-12 * max(1.0, self.b - self.a)
-        if lam < self.a - slack or lam > self.b + slack:
-            raise ValueError(f"parameter {lam} outside domain [{self.a}, {self.b}]")
-        return min(max(lam, self.a), self.b)
+        inside = (lams >= self.a - slack) & (lams <= self.b + slack)
+        if not inside.all():
+            raise ValueError(f"parameter {float(lams[~inside][0])} outside domain [{self.a}, {self.b}]")
+        return np.minimum(np.maximum(lams, self.a), self.b)
+
+    def _rule(self, lam: float) -> SymMatrix:
+        m = as_sym(self._fn(lam))
+        if m.dim != self.dim:
+            raise ValueError(f"evaluation rule returned dimension {m.dim}, expected {self.dim}")
+        return m
+
+    def _bracket(self, lams):
+        # per parameter: the right bracketing sample j >= 1, the weight t of
+        # sample j, and the sample the parameter equals (-1 for none)
+        grid = self._lambdas
+        right = np.searchsorted(grid, lams)
+        j = np.minimum(np.maximum(right, 1), grid.size - 1)
+        hit = np.where(grid[right] == lams, right, -1)
+        return j, (lams - grid[j - 1]) / (grid[j] - grid[j - 1]), hit
+
+    def _mix(self, j: int, t):
+        # (1 - t) * sample[j - 1] + t * sample[j], for a scalar t or an
+        # (n, 1, 1) column of weights
+        out = t * self._matrices[j]
+        out += (1.0 - t) * self._matrices[j - 1]
+        return out
+
+    def _values(self, lams) -> np.ndarray:
+        # stacked (n, dim, dim) matrices at the parameters lams
+        lams = self._domain(lams)
+        out = np.empty((lams.size, self.dim, self.dim))
+        if self._fn is not None:
+            for i, lam in enumerate(lams.tolist()):
+                out[i] = self._rule(lam).entries
+            return out
+        j, t, hit = self._bracket(lams)
+        for k in set(j[hit < 0].tolist()):
+            sel = np.flatnonzero((j == k) & (hit < 0))
+            out[sel] = self._mix(k, t[sel, None, None])
+        for i in np.flatnonzero(hit >= 0):
+            out[i] = self._matrices[hit[i]]
+        return out
 
     def evaluate(self, lam: float) -> SymMatrix:
         """Matrix at ``lam``; affine interpolation between bracketing samples
         for grid paths, exact sample values at sample points."""
-        lam = self._check_domain(float(lam))
+        (lam,) = self._domain(lam)
         if self._fn is not None:
-            m = as_sym(self._fn(lam))
-            if m.dim != self.dim:
-                raise ValueError(f"evaluation rule returned dimension {m.dim}, expected {self.dim}")
-            return m
-        lams = self._lambdas
-        j = int(np.searchsorted(lams, lam))
-        if j < lams.size and lams[j] == lam:
-            return SymMatrix(self._matrices[j])
-        j = max(1, min(j, lams.size - 1))
-        l0, l1 = lams[j - 1], lams[j]
-        t = (lam - l0) / (l1 - l0)
-        return SymMatrix((1.0 - t) * self._matrices[j - 1] + t * self._matrices[j])
+            return self._rule(float(lam))
+        j, t, hit = self._bracket(lam)
+        return SymMatrix(self._matrices[hit] if hit >= 0 else self._mix(j, t))
 
     def __call__(self, lam: float) -> SymMatrix:
         return self.evaluate(lam)
+
+    def eigvals(self, lams) -> np.ndarray:
+        """Ascending eigenvalues at each parameter of ``lams`` as an
+        ``(n, dim)`` array, equal to ``eigvalsh(self(lam).entries)`` row by
+        row. The matrices are solved in stacks of bounded size."""
+        lams = np.asarray(lams, dtype=float).reshape(-1)
+        step = max(1, _CHUNK_BYTES // (8 * self.dim * self.dim))
+        out = np.empty((lams.size, self.dim))
+        for i in range(0, lams.size, step):
+            out[i : i + step] = _lapack(np.linalg.eigvalsh, self._values(lams[i : i + step]))
+        return out
 
 
 def _paths_junction_match(p: OperatorPath, q: OperatorPath) -> bool:
@@ -244,19 +295,20 @@ def _zero_count(w: np.ndarray, tol: float) -> int:
     return int(np.sum(np.abs(w) <= tol))
 
 
-def _eigvals_of(path: OperatorPath, lam: float) -> np.ndarray:
-    return np.linalg.eigvalsh(path(lam).entries)
+def _band_tol(w: np.ndarray, zero_tol: float | None) -> np.ndarray:
+    """Band half-width per eigenvalue row of ``w``, as a column: ``zero_tol``,
+    or the scale-relative default of the matrix the row belongs to."""
+    if zero_tol is not None:
+        return np.full((len(w), 1), float(zero_tol))
+    return REL_ZERO_TOL * np.maximum(1.0, np.linalg.norm(w, axis=1, keepdims=True) / math.sqrt(w.shape[1]))
 
 
 def is_admissible(path: OperatorPath, zero_tol: float | None = None) -> tuple[bool, bool]:
     """Whether each endpoint matrix is invertible (no eigenvalue inside the
     tolerance band)."""
-    out = []
-    for lam in (path.a, path.b):
-        m = path(lam)
-        tol = default_zero_tol(m) if zero_tol is None else zero_tol
-        out.append(_zero_count(np.linalg.eigvalsh(m.entries), tol) == 0)
-    return out[0], out[1]
+    w = path.eigvals([path.a, path.b])
+    clear = np.all(np.abs(w) > _band_tol(w, zero_tol), axis=1)
+    return bool(clear[0]), bool(clear[1])
 
 
 def extended_sf(path: OperatorPath, zero_tol: float | None = None) -> SpectralFlowResult:
@@ -292,58 +344,79 @@ def extended_sf(path: OperatorPath, zero_tol: float | None = None) -> SpectralFl
     )
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, eps: float, cap: int = REFINE_CAP) -> tuple[float, float]:
-    # golden-section minimization, assumes one relevant dip inside [lo, hi]
+def _golden_min(path: OperatorPath, lo, hi, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    # golden-section minimization of the smallest |eigenvalue| on every
+    # [lo, hi] at once, assuming one relevant dip inside each interval
+    def f(x):
+        return np.min(np.abs(path.eigvals(x)), axis=1)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(cap):
-        if hi - lo <= eps:
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    for _ in range(REFINE_CAP):
+        live = hi - lo > eps
+        if not np.any(live):
             break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    xs = [(lo, f(lo)), (x1, f1), (x2, f2), (hi, f(hi))]
-    return min(xs, key=lambda t: t[1])
+        left, right = live & (f1 <= f2), live & ~(f1 <= f2)
+        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = hi[left] - invphi * (hi[left] - lo[left])
+        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = lo[right] + invphi * (hi[right] - lo[right])
+        fnew = f(np.where(left, x1, x2)[live])
+        f1[left], f2[right] = fnew[left[live]], fnew[right[live]]
+    f_lo, f_hi = np.split(f(np.concatenate([lo, hi])), 2)
+    xs, fs = np.stack([lo, x1, x2, hi]), np.stack([f_lo, f1, f2, f_hi])
+    best = np.argmin(fs, axis=0), np.arange(lo.size)
+    return xs[best], fs[best]
 
 
-@dataclass
-class _Event:
-    lo: float
-    hi: float
-    est: float
-    est_width: float  # accuracy of est, used to pick the best estimate on merge
+def _bisect(path: OperatorPath, lo, hi, nlo, nhi, eps: float) -> list[tuple]:
+    # refine every change of the strict negative count over the cells
+    # [lo, hi], all open cells in one solve per round; the count of
+    # eigenvalues below 0 flips exactly at eigenvalue zeros, so brackets are
+    # not biased by the tolerance band. Halves whose counts agree are dropped
+    # (their net flow is zero at this resolution).
+    events = []
+    for depth in range(REFINE_CAP + 1):
+        keep = nlo != nhi
+        lo, hi, nlo, nhi = lo[keep], hi[keep], nlo[keep], nhi[keep]
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= eps) | (depth >= REFINE_CAP)
+        events += [(x, y, m, 0.5 * (y - x)) for x, y, m in zip(lo[done], hi[done], mid[done])]
+        lo, hi, nlo, nhi, mid = lo[~done], hi[~done], nlo[~done], nhi[~done], mid[~done]
+        if not lo.size:
+            break
+        nmid = np.sum(path.eigvals(mid) < 0.0, axis=1)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
+    return events
 
 
-def _bisect_sign_events(path: OperatorPath, lo: float, hi: float, eps: float) -> list[_Event]:
-    # refine every strict sign-count change inside [lo, hi]; the zero-tolerance
-    # count flips exactly at eigenvalue zeros, so the refined brackets are not
-    # biased by the detection tolerance. Cells where the change cancels are
-    # dropped (their net flow is zero at this resolution).
-    def neg0(x: float) -> int:
-        return int(np.sum(_eigvals_of(path, x) < 0.0))
+def _clear_points(path: OperatorPath, lo: np.ndarray, hi: np.ndarray, tol: float, eps: float) -> list[np.ndarray]:
+    # walk away from every bracket, doubling the step from eps, to the first
+    # point with no eigenvalue within 2*tol of zero, so slow eigenvalue
+    # branches are counted correctly; a walk ends at 0.4 of the room to the
+    # neighbouring bracket or endpoint
+    x0 = np.concatenate([lo, hi])
+    step = np.repeat([-1.0, 1.0], lo.size)
+    max_ext = 0.4 * np.concatenate([lo - np.append(path.a, hi[:-1]), np.append(lo[1:], path.b) - hi])
+    out = x0 + step * max_ext
+    ext, walking = eps, eps <= max_ext
+    while np.any(walking):
+        idx = np.flatnonzero(walking)
+        x = x0[idx] + step[idx] * ext
+        clear = np.min(np.abs(path.eigvals(x)), axis=1) > 2.0 * tol
+        out[idx[clear]] = x[clear]
+        walking[idx[clear]] = False
+        ext *= 2.0
+        walking &= ext <= max_ext
+    return np.split(out, 2)
 
-    out: list[_Event] = []
-    stack = [(lo, hi, neg0(lo), neg0(hi), 0)]
-    while stack:
-        clo, chi, nlo, nhi, depth = stack.pop()
-        if nlo == nhi:
-            continue
-        if chi - clo <= eps or depth >= REFINE_CAP:
-            mid = 0.5 * (clo + chi)
-            out.append(_Event(clo, chi, mid, 0.5 * (chi - clo)))
-            continue
-        mid = 0.5 * (clo + chi)
-        nmid = neg0(mid)
-        stack.append((clo, mid, nlo, nmid, depth + 1))
-        stack.append((mid, chi, nmid, nhi, depth + 1))
-    return out
+
+def _drift(m: np.ndarray) -> float:
+    # largest Frobenius distance from the first stacked matrix to the others
+    return max(float(np.linalg.norm(m[0] - x)) for x in m[1:])
 
 
 def locate_crossings(
@@ -354,16 +427,24 @@ def locate_crossings(
 ) -> tuple[Crossing, ...]:
     """Locate and refine the singular parameters of a path.
 
-    Scans a uniform grid of ``n_grid`` points. Three kinds of events are
-    chased: cells whose strictly-negative eigenvalue count changes (refined by
-    bisection), samples that are singular outright, and dips of the smallest
-    absolute eigenvalue that plausibly touch zero between samples (refined by
-    golden-section; rejected dips are re-scanned at 16x resolution to catch
-    cancelling crossing pairs). Overlapping refined brackets are merged; each
-    resulting crossing carries the extended spectral flow across its bracket
-    enlarged by ``eps_lambda`` per side, and a kernel dimension measured with
-    a tolerance wide enough to cover every eigenvalue that vanishes inside
-    the enlarged bracket, which enforces ``|local_sf| <= kernel_dim``.
+    Scans a uniform grid of ``n_grid`` points and chases three kinds of
+    events: cells whose negative eigenvalue count changes (bisection),
+    singular samples, and dips of the smallest absolute eigenvalue that may
+    touch zero between samples (golden-section; rejected dips are re-scanned
+    at 16x resolution for cancelling pairs). Events within ``2 * eps_lambda``
+    of each other form one crossing.
+
+    The crossings partition the domain, ``a = p0 < p1 < ... < pk = b``: each
+    bracket gets a cell whose ends are clear points, walked out from the
+    bracket until no eigenvalue is near zero. A crossing's ``local_sf`` is
+    ``neg(p_i) - neg(p_(i+1))`` over its cell, and every cell between
+    crossings must show no change of ``neg``; one that does is bisected for
+    the missed crossing and the partition is rebuilt. So the local flows sum
+    to the extended flow ``total_sf`` by construction; a census that does not
+    close within ``REFINE_CAP`` rounds raises ``RuntimeError``.
+    ``kernel_dim`` counts the eigenvalues near zero at the estimate, with a
+    tolerance that covers the drift across the cell, and is at least
+    ``|local_sf|``.
 
     Raises :class:`EndpointCrossingError` when a singularity is detected
     within ``eps_lambda`` of either endpoint.
@@ -371,127 +452,92 @@ def locate_crossings(
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     a, b = path.a, path.b
-    span = b - a
-    eps = 1e-8 * span if eps_lambda is None else float(eps_lambda)
+    eps = 1e-8 * (b - a) if eps_lambda is None else float(eps_lambda)
     grid = np.linspace(a, b, n_grid)
-    evals = [np.linalg.eigvalsh(path(x).entries) for x in grid]
-    if zero_tol is None:
-        scale = max(1.0, max(float(np.linalg.norm(w)) / math.sqrt(path.dim) for w in evals))
-        tol = REL_ZERO_TOL * scale
-    else:
-        tol = float(zero_tol)
-    neg = np.array([_neg_count(w, tol) for w in evals])
-    minabs = np.array([float(np.min(np.abs(w))) for w in evals])
+    w = path.eigvals(grid)
+    tol = float(np.max(_band_tol(w, zero_tol)))  # the widest band along the scan
+    neg, neg0 = np.sum(w < -tol, axis=1), np.sum(w < 0.0, axis=1)
+    minabs = np.min(np.abs(w), axis=1)
     singular = minabs <= tol
 
-    def min_abs_at(x: float) -> float:
-        return float(np.min(np.abs(_eigvals_of(path, x))))
-
-    events: list[_Event] = []
-
-    # singular samples, grouped into maximal runs
-    i = 0
-    while i < n_grid:
-        if not singular[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_grid and singular[j + 1]:
-            j += 1
+    # singular samples, grouped into maximal runs [i, j]
+    flips = np.flatnonzero(np.diff(np.concatenate([[0], singular, [0]])))
+    runs = list(zip(flips[::2], flips[1::2] - 1))
+    for i, j in runs:
         if grid[i] - a <= eps or b - grid[j] <= eps:
             raise EndpointCrossingError(
                 f"singular parameter within eps_lambda of an endpoint (samples "
                 f"{grid[i]:.12g}..{grid[j]:.12g} on [{a:.12g}, {b:.12g}])"
             )
-        if i == j:
-            x0, f0 = _golden_min(min_abs_at, grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)], eps)
-            est = x0 if f0 <= minabs[i] else grid[i]
-            events.append(_Event(max(est - eps / 2, a), min(est + eps / 2, b), est, eps / 2))
-        else:
-            # non-isolated singular run: keep its full extent
-            events.append(_Event(grid[i], grid[j], 0.5 * (grid[i] + grid[j]), 0.5 * (grid[j] - grid[i])))
-        i = j + 1
-
-    # cells with a change of the negative count
-    for j in range(n_grid - 1):
-        if neg[j] != neg[j + 1]:
-            events.extend(_bisect_sign_events(path, grid[j], grid[j + 1], eps))
-
+    # events are (lo, hi, estimate, accuracy of the estimate); non-isolated
+    # singular runs keep their full extent
+    events = [(grid[i], grid[j], 0.5 * (grid[i] + grid[j]), 0.5 * (grid[j] - grid[i])) for i, j in runs if i < j]
+    isolated = [i for i, j in runs if i == j]
     # dips of the smallest |eigenvalue| that may touch zero between samples
-    for j in range(1, n_grid - 1):
-        if singular[j - 1] or singular[j] or singular[j + 1]:
-            continue
-        if neg[j - 1] != neg[j] or neg[j] != neg[j + 1]:
-            continue
-        if not (minabs[j] <= minabs[j - 1] and minabs[j] <= minabs[j + 1]):
-            continue
-        if minabs[j] > 0.6 * max(minabs[j - 1], minabs[j + 1]):
-            continue
-        lo, hi = grid[j - 1], grid[j + 1]
-        x0, f0 = _golden_min(min_abs_at, lo, hi, eps)
-        if f0 <= tol:
-            if x0 - a <= eps or b - x0 <= eps:
-                raise EndpointCrossingError(
-                    f"singular parameter within eps_lambda of an endpoint (at {x0:.12g})"
-                )
-            events.append(_Event(max(x0 - eps / 2, a), min(x0 + eps / 2, b), x0, eps / 2))
+    dips = 1 + np.flatnonzero(
+        ~(singular[:-2] | singular[1:-1] | singular[2:])
+        & (neg[:-2] == neg[1:-1])
+        & (neg[1:-1] == neg[2:])
+        & (minabs[1:-1] <= np.minimum(minabs[:-2], minabs[2:]))
+        & (minabs[1:-1] <= 0.6 * np.maximum(minabs[:-2], minabs[2:]))
+    )
+    centers = np.array(isolated + list(dips), dtype=int)
+    x0, f0 = _golden_min(path, grid[np.maximum(centers - 1, 0)], grid[np.minimum(centers + 1, n_grid - 1)], eps)
+    for i, x, f in zip(isolated, x0, f0):
+        est = x if f <= minabs[i] else grid[i]
+        events.append((max(est - eps / 2, a), min(est + eps / 2, b), est, eps / 2))
+    sign = np.flatnonzero(neg[:-1] != neg[1:])
+    cells = [(grid[sign], grid[sign + 1], neg0[sign], neg0[sign + 1])]
+    for j, x, f in zip(dips, x0[len(isolated):], f0[len(isolated):]):
+        if f <= tol:
+            events.append((max(x - eps / 2, a), min(x + eps / 2, b), x, eps / 2))
         else:
             # a rejected dip may hide a cancelling pair: re-scan finer
-            sub = np.linspace(lo, hi, 33)
-            sneg = [int(np.sum(_eigvals_of(path, x) < 0.0)) for x in sub]
-            for k in range(32):
-                if sneg[k] != sneg[k + 1]:
-                    events.extend(_bisect_sign_events(path, sub[k], sub[k + 1], eps))
+            sub = np.linspace(grid[j - 1], grid[j + 1], 33)
+            sneg = np.sum(path.eigvals(sub) < 0.0, axis=1)
+            cells.append((sub[:-1], sub[1:], sneg[:-1], sneg[1:]))
+    events += _bisect(path, *map(np.concatenate, zip(*cells)), eps)
 
-    if not events:
-        return ()
+    for _ in range(REFINE_CAP):
+        events.sort(key=lambda e: e[:2])
+        groups: list[list[tuple]] = []
+        for e in events:
+            if groups and e[0] - groups[-1][-1][1] <= 2 * eps:
+                groups[-1].append(e)
+            else:
+                groups.append([e])
+        lo = np.array([min(e[0] for e in g) for g in groups])
+        hi = np.array([max(e[1] for e in g) for g in groups])
+        for x, y in zip(lo, hi):
+            if x - eps <= a or y + eps >= b:
+                raise EndpointCrossingError(
+                    f"crossing bracket [{x:.12g}, {y:.12g}] reaches an endpoint of [{a:.12g}, {b:.12g}]"
+                )
+        left, right = _clear_points(path, lo, hi, tol, eps)
+        # partition a, left_0, right_0, left_1, ..., b: crossing cells at odd
+        # positions, the cells between crossings at even ones
+        pts = np.concatenate([[a], np.column_stack([left, right]).ravel(), [b]])
+        npts = np.sum(path.eigvals(pts) < 0.0, axis=1)
+        gaps = np.flatnonzero(npts[0::2] != npts[1::2])
+        if not gaps.size:
+            break
+        events += _bisect(path, pts[2 * gaps], pts[2 * gaps + 1], npts[2 * gaps], npts[2 * gaps + 1], eps)
+    else:
+        raise RuntimeError(f"crossing census did not close within {REFINE_CAP} refinement rounds")
 
-    # merge events whose enlarged brackets would overlap
-    events.sort(key=lambda e: (e.lo, e.hi))
-    merged: list[list[_Event]] = [[events[0]]]
-    for e in events[1:]:
-        if e.lo - merged[-1][-1].hi <= 2 * eps:
-            merged[-1].append(e)
-        else:
-            merged.append([e])
-
-    def clear_point(x0: float, direction: float, max_ext: float) -> float:
-        # walk away from the bracket until no eigenvalue sits inside the
-        # tolerance band, so slow eigenvalue branches are counted correctly
-        ext = eps
-        while ext <= max_ext:
-            x = x0 + direction * ext
-            if float(np.min(np.abs(_eigvals_of(path, x)))) > 2.0 * tol:
-                return x
-            ext *= 2.0
-        return x0 + direction * max_ext
-
-    brackets = [(min(e.lo for e in g), max(e.hi for e in g)) for g in merged]
+    est = np.array([min(g, key=lambda e: e[3])[2] for g in groups])
     crossings = []
-    for idx, (group, (lo, hi)) in enumerate(zip(merged, brackets)):
-        best = min(group, key=lambda e: e.est_width)
-        est = best.est
-        if lo - eps <= a or hi + eps >= b:
-            raise EndpointCrossingError(
-                f"crossing bracket [{lo:.12g}, {hi:.12g}] reaches an endpoint of [{a:.12g}, {b:.12g}]"
-            )
-        room_left = lo - (brackets[idx - 1][1] if idx > 0 else a)
-        room_right = (brackets[idx + 1][0] if idx + 1 < len(brackets) else b) - hi
-        lo_ext = clear_point(lo, -1.0, 0.4 * room_left)
-        hi_ext = clear_point(hi, +1.0, 0.4 * room_right)
-        w_lo = _eigvals_of(path, lo_ext)
-        w_hi = _eigvals_of(path, hi_ext)
-        local = _neg_count(w_lo, tol) - _neg_count(w_hi, tol)
-        m_est = path(est).entries
-        drift = max(
-            float(np.linalg.norm(m_est - path(lo_ext).entries)),
-            float(np.linalg.norm(m_est - path(hi_ext).entries)),
-        )
-        ktol = max(tol, drift)
-        kdim = _zero_count(np.linalg.eigvalsh(m_est), ktol)
-        kdim = max(kdim, abs(local), 1)
+    for x, w_x, x_lo, x_hi, p_lo, p_hi, n_lo, n_hi in zip(
+        est, path.eigvals(est), lo, hi, left, right, npts[1:-1:2], npts[2:-1:2]
+    ):
+        kdim = _zero_count(w_x, max(tol, _drift(path._values([x, p_lo, p_hi]))))
         crossings.append(
-            Crossing(lambda_est=float(est), bracket=(float(lo), float(hi)), kernel_dim=int(kdim), local_sf=int(local))
+            Crossing(
+                lambda_est=float(x),
+                bracket=(float(x_lo), float(x_hi)),
+                kernel_dim=max(kdim, abs(int(n_lo - n_hi)), 1),
+                local_sf=int(n_lo - n_hi),
+            )
         )
     return tuple(crossings)
 
@@ -543,14 +589,8 @@ def crossing_form(
 
 
 def _crossing_kernel_tol(path: OperatorPath, c: Crossing, eps: float) -> float:
-    lo = max(path.a, c.bracket[0] - eps)
-    hi = min(path.b, c.bracket[1] + eps)
-    m_est = path(c.lambda_est).entries
-    drift = max(
-        float(np.linalg.norm(m_est - path(lo).entries)),
-        float(np.linalg.norm(m_est - path(hi).entries)),
-    )
-    return max(default_zero_tol(SymMatrix(m_est)), drift)
+    m = path._values([c.lambda_est, max(path.a, c.bracket[0] - eps), min(path.b, c.bracket[1] + eps)])
+    return max(default_zero_tol(SymMatrix(m[0])), _drift(m))
 
 
 def classify_crossings(

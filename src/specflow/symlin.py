@@ -141,11 +141,13 @@ class Inertia:
         return self.zero
 
 
-def _eigvalsh(entries: np.ndarray) -> np.ndarray:
+def _lapack(solver, entries: np.ndarray):
+    """Run a numpy.linalg symmetric solver on a matrix or a stack of
+    matrices, reporting non-convergence as :class:`EigenSolverError`."""
     try:
-        return np.linalg.eigvalsh(entries)
+        return solver(entries)
     except np.linalg.LinAlgError as err:
-        off = float(np.linalg.norm(entries - np.diag(np.diag(entries))))
+        off = float(np.linalg.norm(entries * (1.0 - np.eye(entries.shape[-1]))))
         raise EigenSolverError(
             f"symmetric eigensolver did not converge "
             f"(off-diagonal residual {off:.3e})"
@@ -159,14 +161,7 @@ def eigensym(S) -> EigenDecomposition:
     factors violate the reconstruction / orthonormality tolerances.
     """
     S = as_sym(S)
-    try:
-        w, v = np.linalg.eigh(S.entries)
-    except np.linalg.LinAlgError as err:
-        off = float(np.linalg.norm(S.entries - np.diag(np.diag(S.entries))))
-        raise EigenSolverError(
-            f"symmetric eigensolver did not converge "
-            f"(off-diagonal residual {off:.3e})"
-        ) from err
+    w, v = _lapack(np.linalg.eigh, S.entries)
     scale = max(1.0, S.norm_fro())
     resid = float(np.linalg.norm(S.entries - (v * w) @ v.T))
     orth = float(np.linalg.norm(v.T @ v - np.eye(S.dim)))
@@ -189,7 +184,7 @@ def inertia(S, zero_tol: float | None = None) -> Inertia:
         zero_tol = default_zero_tol(S)
     if zero_tol < 0:
         raise ValueError("zero_tol must be non-negative")
-    w = _eigvalsh(S.entries)
+    w = _lapack(np.linalg.eigvalsh, S.entries)
     neg = int(np.sum(w < -zero_tol))
     pos = int(np.sum(w > zero_tol))
     return Inertia(neg=neg, zero=S.dim - neg - pos, pos=pos, zero_tol=zero_tol)

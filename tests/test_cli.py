@@ -218,6 +218,23 @@ class TestReports:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == -1.0 and first[1] <= first[2]
 
+    def test_no_trace_work_without_trace(self, tmp_path, monkeypatch):
+        import specflow.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace data built without --trace")
+
+        monkeypatch.setattr(cli, "_write_trace", refuse)
+        monkeypatch.setattr(cli, "_krasnoselskii_path", refuse)
+        for command, config in (
+            ("sf", "path_basic.json"),
+            ("bifurcate", "path_basic.json"),
+            ("bifurcate", "krasnoselskii_cluster.json"),
+            ("sf", "periodic_family.json"),
+        ):
+            rc, _ = run_to_text([command, "--config", str(CONFIGS / config)], tmp_path)
+            assert rc == 0
+
     def test_verify_command(self, tmp_path):
         rc, text = run_to_text(["verify", "--seed", "7", "--trials", "500"], tmp_path)
         assert rc == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_diag_path
+from conftest import make_diag_path, rand_orth
 from specflow.sfpath import (
     EndpointCrossingError,
     OperatorPath,
@@ -56,6 +56,35 @@ class TestEvaluate:
             OperatorPath.from_samples([0.0], [np.eye(1)])
         with pytest.raises(ValueError, match="one dimension"):
             OperatorPath.from_samples([0.0, 1.0], [np.eye(1), np.eye(2)])
+
+
+def rand_sym(rng, d):
+    m = rng.normal(size=(d, d))
+    return (m + m.T) / 2.0
+
+
+class TestEigvals:
+    def test_matches_pointwise_eigvalsh(self):
+        rng = np.random.default_rng(5)
+        for d in (4, 12, 160):
+            lams = [-1.0, -0.3, 0.25, 1.0]
+            grid_path = OperatorPath.from_samples(lams, [rand_sym(rng, d) for _ in lams])
+            k, u = rand_sym(rng, d), np.triu(rng.normal(size=(d, d)))
+            rule_path = OperatorPath.from_callable(-1.0, 1.0, d, lambda x, k=k, u=u: np.cos(x) * k + x * u)
+            # sample points, both endpoints, a scan grid and off-grid points;
+            # at d = 160 the parameters span several stacked solves
+            xs = np.concatenate([lams, np.linspace(-1.0, 1.0, 45), rng.uniform(-1.0, 1.0, 10)])
+            for p in (grid_path, rule_path):
+                want = np.array([np.linalg.eigvalsh(p(x).entries) for x in xs])
+                assert np.array_equal(p.eigvals(xs), want)
+
+    def test_rule_outputs_are_checked(self):
+        with pytest.raises(ValueError, match="dimension"):
+            OperatorPath.from_callable(0.0, 1.0, 3, lambda x: np.eye(2)).eigvals([0.5])
+        with pytest.raises(ValueError, match="finite"):
+            OperatorPath.from_callable(0.0, 1.0, 1, lambda x: [[np.inf]]).eigvals([0.5])
+        with pytest.raises(ValueError, match="outside domain"):
+            OperatorPath.from_samples([0.0, 1.0], [np.eye(1), np.eye(1)]).eigvals([0.5, 1.5])
 
 
 class TestAdmissible:
@@ -156,6 +185,50 @@ class TestLocateCrossings:
             for left, right in zip(cr, cr[1:]):
                 assert left.bracket[1] < right.bracket[0]
             assert sum(c.local_sf for c in cr) == extended_sf(path).total_sf
+
+
+def close_pair_path(rng):
+    """A V-shaped eigenvalue curve with its kink at a sample and its two
+    roots 2e-3..0.2 apart; the other curves keep ``|mu| >= 0.5``. Returns the
+    path in a random orthogonal basis and the roots (down, then up)."""
+    d = int(rng.integers(3, 9))
+    sep = float(np.exp(rng.uniform(np.log(2e-3), np.log(0.2))))
+    c, w, g_left = rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(0.5, 1.5)
+    depth = g_left * w * sep
+    g_right = depth / ((1.0 - w) * sep)
+    mu = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.5, 3.0, size=(3, d))
+    mu[:, 0] = [g_left * c - depth, -depth, g_right * (1.0 - c) - depth]
+    q = rand_orth(rng, d)
+    path = OperatorPath.from_samples([0.0, c, 1.0], [(q * row) @ q.T for row in mu], smooth=True)
+    return path, (c - w * sep, c + (1.0 - w) * sep)
+
+
+class TestCensusAdditivity:
+    """Local flows over the crossing partition sum to the total flow."""
+
+    @pytest.mark.parametrize("n_grid", [256, 32, 8])
+    def test_random_piecewise_affine_paths(self, n_grid):
+        rng = np.random.default_rng(1)
+        for _ in range(150):
+            d, s = int(rng.integers(2, 16)), int(rng.integers(2, 7))
+            lams = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, s - 2)), [1.0]])
+            p = OperatorPath.from_samples(lams, [rand_sym(rng, d) for _ in lams])
+            cr = locate_crossings(p, n_grid=n_grid)
+            assert sum(c.local_sf for c in cr) == extended_sf(p).total_sf
+
+    def test_close_pairs_between_scan_points(self):
+        rng = np.random.default_rng(1)
+        grid = np.linspace(0.0, 1.0, 256)
+        checked = 0
+        while checked < 10:
+            path, (down, up) = close_pair_path(rng)
+            if np.any((grid > down) & (grid < up)):
+                continue
+            cr = locate_crossings(path)
+            assert [c.local_sf for c in cr] == [-1, 1]
+            assert [c.kernel_dim for c in cr] == [1, 1]
+            assert abs(cr[0].lambda_est - down) < 1e-7 and abs(cr[1].lambda_est - up) < 1e-7
+            checked += 1
 
 
 class TestCrossingForm:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from specflow.sfpath import OperatorPath
 from specflow.symlin import (
+    EigenSolverError,
     SymMatrix,
     as_sym,
     default_zero_tol,
@@ -36,6 +38,19 @@ class TestSymMatrix:
         s = as_sym(np.eye(2))
         with pytest.raises(ValueError):
             s.entries[0, 0] = 5.0
+
+
+class TestSolverErrors:
+    def test_non_convergence_is_reported(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = OperatorPath.from_samples([0.0, 1.0], [np.eye(2), -np.eye(2)])
+        for solve in (eigensym, inertia, lambda m: path.eigvals([0.0, 0.5])):
+            with pytest.raises(EigenSolverError, match="did not converge"):
+                solve(np.diag([1.0, 2.0]))
 
 
 class TestEigensym:

@@ -27,7 +27,6 @@ from .sfpath import (
     AxiomViolation,
     EndpointCrossingError,
     OperatorPath,
-    extended_sf,
     scan_path,
     verify_axioms,
 )
@@ -36,9 +35,8 @@ from .hamsys import (
     ResonanceError,
     StabilizationError,
     TimePeriodicCoeff,
+    _stabilized_flow,
     coefficient_bounds,
-    galerkin_path,
-    galerkin_sf,
     hamiltonian_index,
     scan_crossings_trimmed,
 )
@@ -83,11 +81,18 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _as_number(value, where: str) -> float:
+def _number_problem(value) -> str | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+        return "must be a number"
     if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
+        return "must be finite"
+    return None
+
+
+def _as_number(value, where: str) -> float:
+    problem = _number_problem(value)
+    if problem:
+        raise ConfigError(f"{where} {problem}")
     return float(value)
 
 
@@ -99,23 +104,39 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _matrix_problem(rows: list, where: str) -> str | None:
+    # the first ragged row or bad entry in row-major order, located by name
+    d = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != d:
+            return f"{where} is not square: row {i} has length {len(row)}, expected {d}"
+        for j, x in enumerate(row):
+            problem = _number_problem(x)
+            if problem:
+                return f"{where}[{i}][{j}] {problem}"
+    return None
+
+
 def _as_matrix(value, where: str, even_dim: bool = False) -> list[list[float]]:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ConfigError(f"{where} must be a non-empty nested array")
     d = len(value)
-    rows = []
-    for i, row in enumerate(value):
-        if len(row) != d:
-            raise ConfigError(f"{where} is not square: row {i} has length {len(row)}, expected {d}")
-        rows.append([_as_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    arr = np.array(rows)
+    plain = all(len(row) == d for row in value) and {type(x) for row in value for x in row} <= {int, float}
+    arr = np.array(value, dtype=float) if plain else None
+    if not plain or not np.all(np.isfinite(arr)):
+        problem = _matrix_problem(value, where)
+        if problem:
+            raise ConfigError(problem)
+        # only number subclasses (such as numpy scalars) get here
+        arr = np.array(value, dtype=float)
     scale = max(1.0, float(np.max(np.abs(arr))))
     asym = float(np.max(np.abs(arr - arr.T)))
     if asym > _SYM_TOL * scale:
         raise ConfigError(f"{where} is not symmetric within 1e-9 (max deviation {asym:.3e})")
     if even_dim and d % 2 != 0:
         raise ConfigError(f"{where} must have even dimension, got {d}")
-    return rows
+    # float() hands back the parsed float objects themselves: no second copy
+    return [list(map(float, row)) for row in value]
 
 
 def _as_optional_number(data: dict, key: str, where: str):
@@ -344,12 +365,10 @@ def _run_sf(config: ProblemConfig, grid_override: int | None):
     p = config.payload
     hpath = _hamiltonian_path(p)
     n_grid = grid_override or p["grid"]
-    sf, n_used = galerkin_sf(hpath, N0=p["n0"], N_cap=p["n_cap"], t_samples=p["t_samples"])
-    gpath = galerkin_path(hpath, n_used)
-    base = extended_sf(gpath)
+    base, n_used, gpath = _stabilized_flow(hpath, p["n0"], p["n_cap"], p["t_samples"])
     crossings, notes = scan_crossings_trimmed(gpath, n_grid=n_grid)
     results = {
-        "total_sf": sf,
+        "total_sf": base.total_sf,
         "n_used": n_used,
         "admissible": [base.admissible_start, base.admissible_end],
         "shift_delta": base.shift_delta,

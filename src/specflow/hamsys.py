@@ -1,20 +1,21 @@
 """Time-periodic linear Hamiltonian systems on the 2*pi circle.
 
 Supports matrix coefficients ``A(t) = A0 + sum_m cos(m t) C_m + sin(m t) S_m``
-acting on phase space R^(2n). The quadratic form of the associated
+(m = 1..M) acting on phase space R^(2n). The quadratic form of the associated
 periodic-solution problem is assembled in closed form on the truncated
-trigonometric basis (constant block, then sin-k / cos-k blocks for
-k = 1..N), where the rotation term contributes ``pi * k * [[0, sigma^T],
-[sigma, 0]]`` inside each frequency block and the coefficient term couples
-blocks through product-to-sum identities. For constant coefficients the
-form is block diagonal with blocks congruent to positive multiples of the
-frequency matrices ``L^k(A)``, whose signatures define an integer index whose
-differences compute the spectral flow of coefficient paths.
+trigonometric basis: 2n x 2n blocks numbered 0 (constant), 2k - 1 (sin-k)
+and 2k (cos-k) for k = 1..N. The rotation term contributes ``pi * k *
+[[0, sigma^T], [sigma, 0]]`` inside each frequency block and the coefficient
+term couples blocks through product-to-sum identities, only within the band
+``|j - k| <= M``; assembly writes those O(N*M) blocks into a dense matrix of
+dimension 2n(2N+1). For constant coefficients the form is block diagonal
+with blocks congruent to positive multiples of the frequency matrices
+``L^k(A)``, whose signatures define an integer index whose differences
+compute the spectral flow of coefficient paths.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +26,7 @@ from .symlin import SymMatrix, as_sym, default_zero_tol, inertia
 from .sfpath import (
     EndpointCrossingError,
     OperatorPath,
+    SpectralFlowResult,
     extended_sf,
     locate_crossings,
 )
@@ -160,7 +162,6 @@ def hamiltonian_index(A, zero_tol: float | None = None) -> IndexResult:
     if not resonant:
         half_sgn_a = per_k[0] // 2  # sgn L^0 = 2 sgn(A), and sgn(A) is even here
         tail = sum(per_k[1:])
-        assert per_k[0] % 4 == 0 and tail % 2 == 0
         value = half_sgn_a // 2 + tail // 2
     return IndexResult(value=value, k_max=k_max, per_k=tuple(per_k), resonant=resonant)
 
@@ -312,71 +313,74 @@ class GalerkinHessian:
                 raise ValueError(f"frequency {k} outside 1..{self.N}")
             if kind not in ("const", "sin", "cos"):
                 raise ValueError(f"unknown block kind {kind!r}")
-        return self.matrix.entries[_block_slice(2 * self.n, *row), _block_slice(2 * self.n, *col)]
+        return _blocks(self.matrix.entries, 2 * self.n)[_block_index(*row), :, _block_index(*col), :]
 
 
-def _block_slice(two_n: int, kind: str, k: int) -> slice:
-    # basis columns of the constant block, or of the sin-k / cos-k block
+def _block_index(kind: str, k):
+    # basis position of the constant block (0), the sin-k block (2k - 1) or
+    # the cos-k block (2k); k may be an integer array
     if kind == "const":
-        return slice(0, two_n)
-    base = two_n * (2 * k - 1)
-    return slice(base, base + two_n) if kind == "sin" else slice(base + two_n, base + 2 * two_n)
+        return 0
+    return 2 * k - 1 if kind == "sin" else 2 * k
+
+
+def _blocks(q: np.ndarray, two_n: int) -> np.ndarray:
+    # view of a basis-ordered form as q4[row block, :, column block, :]
+    n_blocks = q.shape[0] // two_n
+    return q.reshape(n_blocks, two_n, n_blocks, two_n)
 
 
 def assemble_hessian(coeff: TimePeriodicCoeff, N: int) -> GalerkinHessian:
-    """Closed-form assembly of the truncated quadratic form.
+    """Closed-form assembly of the truncated quadratic form, as a dense matrix
+    in the block layout of :class:`GalerkinHessian`.
 
     The rotation part lives inside each frequency block; the coefficient part
-    couples the constant block to frequency m <= bandwidth and blocks (j, k)
-    with ``|j - k| <= bandwidth`` or ``j + k <= bandwidth``. Entries follow
-    from the product-to-sum integrals of sin/cos pairs against the harmonics
-    of ``A(t)`` over one period.
+    couples the constant block to frequencies m <= M (the bandwidth) and the
+    blocks (j, k) in the band ``|j - k| <= M``, which holds every pair with
+    ``j + k <= M``. Entries follow from the product-to-sum integrals of
+    sin/cos pairs against the harmonics of ``A(t)`` over one period. Only the
+    O(N*M) band blocks are written, one vectorized update per block kind.
     """
-    if N < coeff.bandwidth:
-        raise ValueError(f"truncation N={N} below coefficient bandwidth M={coeff.bandwidth}")
     if N < 0:
         raise ValueError("N must be non-negative")
-    n = coeff.n
+    if N < coeff.bandwidth:
+        raise ValueError(f"truncation N={N} below coefficient bandwidth M={coeff.bandwidth}")
+    n, m_band, pi = coeff.n, coeff.bandwidth, math.pi
     two_n = 2 * n
-    m_band = coeff.bandwidth
-    size = two_n * (2 * N + 1)
-    q = np.zeros((size, size))
-    sig = symplectic_matrix(n)
-    pi = math.pi
-
-    zero = np.zeros((two_n, two_n))
-
-    def c_of(m: int) -> np.ndarray:
-        return coeff.cos_terms[m - 1] if 1 <= m <= m_band else zero
-
-    def s_of(m: int) -> np.ndarray:
-        return coeff.sin_terms[m - 1] if 1 <= m <= m_band else zero
-
-    sl = functools.partial(_block_slice, two_n)
+    q = np.zeros((two_n * (2 * N + 1),) * 2)
+    q4 = _blocks(q, two_n)
+    # harmonics by frequency 0..2N, zero outside 1..M
+    c_of, s_of = np.zeros((2, 2 * N + 1, two_n, two_n))
+    for m, (c, s) in enumerate(zip(coeff.cos_terms, coeff.sin_terms), start=1):
+        c_of[m], s_of[m] = c, s
 
     # constant block and its couplings to the harmonics of A
-    q[sl("const", 0), sl("const", 0)] = 2.0 * pi * coeff.a0
-    for k in range(1, N + 1):
-        q[sl("const", 0), sl("sin", k)] = pi * s_of(k)
-        q[sl("sin", k), sl("const", 0)] = pi * s_of(k)
-        q[sl("const", 0), sl("cos", k)] = pi * c_of(k)
-        q[sl("cos", k), sl("const", 0)] = pi * c_of(k)
+    q4[0, :, 0, :] = 2.0 * pi * coeff.a0
+    m = np.arange(1, m_band + 1)
+    for kind, terms in (("sin", s_of), ("cos", c_of)):
+        q4[0, :, _block_index(kind, m), :] = pi * terms[m]
+        q4[_block_index(kind, m), :, 0, :] = pi * terms[m]
 
-    for j in range(1, N + 1):
-        # rotation term: sin-j / cos-j coupling with weight j*pi
-        q[sl("sin", j), sl("cos", j)] += -j * pi * sig
-        q[sl("cos", j), sl("sin", j)] += j * pi * sig
-        for k in range(1, N + 1):
-            ss = 0.5 * pi * ((c_of(abs(j - k)) if j != k else zero) - c_of(j + k))
-            cc = 0.5 * pi * ((c_of(abs(j - k)) if j != k else zero) + c_of(j + k))
-            sc = 0.5 * pi * (s_of(j + k) + float(np.sign(j - k)) * s_of(abs(j - k)))
-            if j == k:
-                ss = ss + pi * coeff.a0
-                cc = cc + pi * coeff.a0
-            q[sl("sin", j), sl("sin", k)] += ss
-            q[sl("cos", j), sl("cos", k)] += cc
-            q[sl("sin", j), sl("cos", k)] += sc
-            q[sl("cos", k), sl("sin", j)] += sc
+    # rotation term: sin-j / cos-j coupling with weight j*pi
+    j = np.arange(1, N + 1)
+    sig = symplectic_matrix(n)
+    q4[_block_index("sin", j), :, _block_index("cos", j), :] += (-j * pi)[:, None, None] * sig
+    q4[_block_index("cos", j), :, _block_index("sin", j), :] += (j * pi)[:, None, None] * sig
+
+    # coefficient term on the band pairs 1 <= j, k <= N, |j - k| <= M
+    j, k = np.meshgrid(j, np.arange(-m_band, m_band + 1), indexing="ij")
+    inside = (j + k >= 1) & (j + k <= N)
+    j, k = j[inside], (j + k)[inside]
+    diff, total = np.abs(j - k), j + k
+    ss = 0.5 * pi * (c_of[diff] - c_of[total])
+    cc = 0.5 * pi * (c_of[diff] + c_of[total])
+    sc = 0.5 * pi * (s_of[total] + np.sign(j - k)[:, None, None] * s_of[diff])
+    ss[j == k] += pi * coeff.a0
+    cc[j == k] += pi * coeff.a0
+    q4[_block_index("sin", j), :, _block_index("sin", k), :] += ss
+    q4[_block_index("cos", j), :, _block_index("cos", k), :] += cc
+    q4[_block_index("sin", j), :, _block_index("cos", k), :] += sc
+    q4[_block_index("cos", k), :, _block_index("sin", j), :] += sc
     return GalerkinHessian(N=N, n=n, matrix=SymMatrix(q))
 
 
@@ -412,6 +416,15 @@ def galerkin_sf(
     ``(sf, N_used)``. Raises :class:`StabilizationError` (with the trace of
     attempted values) when the cap is reached first.
     """
+    result, n_used, _ = _stabilized_flow(hpath, N0, N_cap, t_samples)
+    return result.total_sf, n_used
+
+
+def _stabilized_flow(
+    hpath: HamiltonianPath, N0: int | None, N_cap: int, t_samples: int
+) -> tuple[SpectralFlowResult, int, OperatorPath]:
+    # the doubling loop of galerkin_sf; also returns the last flow result and
+    # the galerkin path it came from, for callers that go on to use them
     if N0 is None:
         N0 = max(hpath.bandwidth, int(math.ceil(2.0 * _sup_spectral_norm(hpath, t_samples))), 1)
     N = max(int(N0), hpath.bandwidth, 1)
@@ -420,11 +433,12 @@ def galerkin_sf(
     trace: list[tuple[int, int]] = []
     prev: int | None = None
     while True:
-        sf = extended_sf(galerkin_path(hpath, N)).total_sf
-        trace.append((N, sf))
-        if prev is not None and sf == prev:
-            return sf, N
-        prev = sf
+        gpath = galerkin_path(hpath, N)
+        result = extended_sf(gpath)
+        trace.append((N, result.total_sf))
+        if prev is not None and result.total_sf == prev:
+            return result, N, gpath
+        prev = result.total_sf
         if N == N_cap:
             raise StabilizationError(trace)
         N = min(2 * N, N_cap)
@@ -553,10 +567,11 @@ def coefficient_bounds(
                 )
     sf_lower = two_n * delta(beta0, alpha1)
     sf_upper = two_n * delta(alpha0, beta1)
-    sf, n_used = galerkin_sf(hpath, N_cap=N_cap, t_samples=t_samples)
+    flow, n_used, gpath = _stabilized_flow(hpath, None, N_cap, t_samples)
+    sf = flow.total_sf
     sandwich = sf_lower <= sf <= sf_upper
 
-    crossings, scan_notes = scan_crossings_trimmed(galerkin_path(hpath, n_used), n_grid=n_grid)
+    crossings, scan_notes = scan_crossings_trimmed(gpath, n_grid=n_grid)
     notes.extend(scan_notes)
     return CoefficientBoundsReport(
         alpha_start=alpha0,

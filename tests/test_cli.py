@@ -59,6 +59,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"samples\[0\].matrix is not symmetric"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("true", "must be a number"), ('"1.0"', "must be a number"), ("NaN", "must be finite")],
+    )
+    def test_rejects_bad_entry_naming_first_location(self, entry, message):
+        rows = "[[1.0, 0.0, 0.0], [0.0, 1.0, %s], [0.0, NaN, 1.0]]" % entry
+        text = (
+            '{"kind": "matrix_path", "samples": ['
+            '{"lambda": 0.0, "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, '
+            '{"lambda": 1.0, "matrix": %s}]}' % rows
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"samples[1].matrix[1][2] {message}"
+
     def test_rejects_unknown_keys(self):
         text = json.dumps(
             {
@@ -184,6 +199,8 @@ class TestReports:
             ("sf", "path_basic.json", "sf_path_basic.json"),
             ("index", "constant_index.json", "index_constant.json"),
             ("bifurcate", "krasnoselskii_cluster.json", "bifurcate_krasnoselskii.json"),
+            ("sf", "periodic_family.json", "sf_periodic_family.json"),
+            ("bifurcate", "periodic_family.json", "bifurcate_periodic_family.json"),
         ],
     )
     def test_golden_reports(self, tmp_path, command, config, golden):

@@ -22,7 +22,7 @@ from specflow.hamsys import (
     lk_matrix,
     symplectic_matrix,
 )
-from specflow.symlin import inertia
+from specflow.symlin import SymMatrix, inertia
 
 
 def quadrature_hessian(coeff, N, intervals=4096):
@@ -53,6 +53,54 @@ def quadrature_hessian(coeff, N, intervals=4096):
     g = np.einsum("it,jt,t->ij", dwaves, waves, w)
     sig = symplectic_matrix(two_n // 2)
     return qa.reshape(size, size) + np.kron(g, sig.T)
+
+
+def loop_hessian(coeff, N):
+    """Reference assembly: the frequency-pair loop over all (j, k) <= N.
+
+    Same arithmetic per block as ``assemble_hessian``, so the two must agree
+    bit for bit, signs of zero included.
+    """
+    two_n = coeff.dim
+    m_band = coeff.bandwidth
+    q = np.zeros((two_n * (2 * N + 1),) * 2)
+    sig = symplectic_matrix(coeff.n)
+    pi = math.pi
+    zero = np.zeros((two_n, two_n))
+
+    def sl(kind, k):
+        if kind == "const":
+            return slice(0, two_n)
+        base = two_n * (2 * k - 1)
+        return slice(base, base + two_n) if kind == "sin" else slice(base + two_n, base + 2 * two_n)
+
+    def c_of(m):
+        return coeff.cos_terms[m - 1] if 1 <= m <= m_band else zero
+
+    def s_of(m):
+        return coeff.sin_terms[m - 1] if 1 <= m <= m_band else zero
+
+    q[sl("const", 0), sl("const", 0)] = 2.0 * pi * coeff.a0
+    for k in range(1, N + 1):
+        q[sl("const", 0), sl("sin", k)] = pi * s_of(k)
+        q[sl("sin", k), sl("const", 0)] = pi * s_of(k)
+        q[sl("const", 0), sl("cos", k)] = pi * c_of(k)
+        q[sl("cos", k), sl("const", 0)] = pi * c_of(k)
+    for j in range(1, N + 1):
+        q[sl("sin", j), sl("cos", j)] += -j * pi * sig
+        q[sl("cos", j), sl("sin", j)] += j * pi * sig
+        for k in range(1, N + 1):
+            ss = 0.5 * pi * ((c_of(abs(j - k)) if j != k else zero) - c_of(j + k))
+            cc = 0.5 * pi * ((c_of(abs(j - k)) if j != k else zero) + c_of(j + k))
+            sc = 0.5 * pi * (s_of(j + k) + float(np.sign(j - k)) * s_of(abs(j - k)))
+            if j == k:
+                ss = ss + pi * coeff.a0
+                cc = cc + pi * coeff.a0
+            q[sl("sin", j), sl("sin", k)] += ss
+            q[sl("cos", j), sl("cos", k)] += cc
+            q[sl("sin", j), sl("cos", k)] += sc
+            q[sl("cos", k), sl("sin", j)] += sc
+    return SymMatrix(q).entries
 
 
 def rand_sym(rng, d, scale=1.0):
@@ -223,6 +271,38 @@ class TestAssembly:
         coeff = TimePeriodicCoeff(a0=np.zeros((2, 2)), cos_terms=(np.eye(2),) * 3, sin_terms=())
         with pytest.raises(ValueError, match="bandwidth"):
             assemble_hessian(coeff, 2)
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            assemble_hessian(TimePeriodicCoeff.constant(np.eye(2)), -1)
+
+    @staticmethod
+    def signed_zero_sym(rng, d):
+        # random symmetric entries with some set to +0.0 or -0.0, so that a
+        # changed order of additions shows in the sign bits
+        m = rand_sym(rng, d)
+        mask = np.triu(rng.random((d, d)) < 0.3)
+        m[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        return np.where(mask.T, m.T, m)
+
+    @pytest.mark.parametrize(
+        "n, n_cos, n_sin, N",
+        [(1, 0, 0, 0), (2, 0, 0, 5), (3, 0, 0, 2)]
+        + [(1, 2, 2, 3), (2, 3, 3, 4), (1, 4, 4, 7), (3, 2, 1, 2)]
+        + [(1, 3, 1, 8), (2, 1, 4, 6), (2, 0, 3, 11), (3, 2, 0, 9)]
+        + [(2, 3, 3, 136)],
+    )
+    def test_bit_identical_to_loop_reference(self, n, n_cos, n_sin, N):
+        rng = np.random.default_rng([27, n, n_cos, n_sin, N])
+        coeff = TimePeriodicCoeff(
+            a0=self.signed_zero_sym(rng, 2 * n),
+            cos_terms=tuple(self.signed_zero_sym(rng, 2 * n) for _ in range(n_cos)),
+            sin_terms=tuple(self.signed_zero_sym(rng, 2 * n) for _ in range(n_sin)),
+        )
+        got = assemble_hessian(coeff, N).matrix.entries
+        want = loop_hessian(coeff, N)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGalerkinFlow:

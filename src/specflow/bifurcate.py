@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symlin import REL_ZERO_TOL, as_sym
+from .symlin import REL_ZERO_TOL, _lapack, as_sym
 from .sfpath import (
     Crossing,
     OperatorPath,
@@ -215,7 +215,7 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     if any(m.dim != dim for r in rows for m in r):
         raise ValueError("all lattice matrices must share one dimension")
 
-    evals = np.linalg.eigvalsh(np.stack([m.entries for r in rows for m in r])).reshape(ns, nt, dim)
+    evals = _lapack(np.linalg.eigvalsh, np.stack([m.entries for r in rows for m in r])).reshape(ns, nt, dim)
     scale = max(1.0, float(np.max(np.linalg.norm(evals, axis=2))) / math.sqrt(dim))
     tol = REL_ZERO_TOL * scale if zero_tol is None else zero_tol
     neg = np.sum(evals < -tol, axis=2).astype(int)
@@ -275,7 +275,7 @@ def krasnoselskii(
     c, d = float(interval[0]), float(interval[1])
     if not d > c:
         raise ValueError("interval must satisfy c < d")
-    eigs = np.linalg.eigvalsh(K.entries)
+    eigs = _lapack(np.linalg.eigvalsh, K.entries)
     tol = max(1e-9, 1e-9 * float(np.max(np.abs(eigs), initial=1.0)))
     if np.any(np.abs(eigs - c) <= tol) or np.any(np.abs(eigs - d) <= tol):
         raise ValueError("an interval endpoint lies in the spectrum of K")

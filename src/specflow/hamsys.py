@@ -12,6 +12,16 @@ dimension 2n(2N+1). For constant coefficients the form is block diagonal
 with blocks congruent to positive multiples of the frequency matrices
 ``L^k(A)``, whose signatures define an integer index whose differences
 compute the spectral flow of coefficient paths.
+
+Grouping the basis as {constant, frequencies 1..g}, the next g frequencies,
+and so on, with g = max(M, 1), makes the form block tridiagonal. The
+truncated flow is the difference of the endpoint Morse indices, and these
+are counted by one block LDL^T sweep over the groups (Sylvester's law and
+Schur complements, ``symlin._shift_counts``) in O((N / g) * (4ng)^3) work
+instead of a dense eigen-solve. The counts are used when the sweep is
+certified and no eigenvalue lies near the tolerance band of either
+endpoint; otherwise, for instance at a resonant endpoint, the dense
+:func:`~specflow.sfpath.extended_sf` computes the flow and its shift.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symlin import SymMatrix, as_sym, default_zero_tol, inertia
+from .symlin import SymMatrix, _lapack, _shift_counts, as_sym, default_zero_tol, inertia
 from .sfpath import (
     EndpointCrossingError,
     OperatorPath,
@@ -55,6 +65,11 @@ __all__ = [
 
 DEFAULT_N_CAP = 512
 DEFAULT_T_SAMPLES = 1024
+
+#: Relative width ``eta`` of the bands ``tol * [1 - eta, 1 + eta]`` next to
+#: the endpoint tolerance bands that must hold no eigenvalue before the
+#: inertia sweep's counts replace the dense endpoint solves.
+_MARGIN = 0.5
 
 
 class ResonanceError(ValueError):
@@ -132,7 +147,7 @@ class IndexResult:
 
 
 def _spectral_norm(A: SymMatrix) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(A.entries))))
+    return float(np.max(np.abs(_lapack(np.linalg.eigvalsh, A.entries))))
 
 
 def _k_max_for(A: SymMatrix) -> int:
@@ -297,15 +312,27 @@ class GalerkinHessian:
 
     Basis order: constant block (2n columns), then for k = 1..N the sin-k
     block followed by the cos-k block, for a total dimension 2n(2N+1).
+    Blocks couple only within the coefficient bandwidth, ``|j - k| <= M``
+    and the constant block with frequencies up to M, so the groups of
+    :attr:`cuts` make the matrix block tridiagonal.
     """
 
     N: int
     n: int
+    bandwidth: int
     matrix: SymMatrix
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
+
+    @property
+    def cuts(self) -> tuple[int, ...]:
+        """Ends of the frequency groups {constant, 1..g}, {g+1..2g}, ...
+        with ``g = max(M, 1)``: the positions ``2n(1 + 2k)`` for k = g, 2g,
+        ... below N, and N. Only neighbouring groups couple."""
+        g = max(self.bandwidth, 1)
+        return tuple(2 * self.n * (1 + 2 * k) for k in [*range(g, self.N, g), self.N])
 
     def block(self, row: tuple[str, int], col: tuple[str, int]) -> np.ndarray:
         for kind, k in (row, col):
@@ -381,7 +408,7 @@ def assemble_hessian(coeff: TimePeriodicCoeff, N: int) -> GalerkinHessian:
     q4[_block_index("cos", j), :, _block_index("cos", k), :] += cc
     q4[_block_index("sin", j), :, _block_index("cos", k), :] += sc
     q4[_block_index("cos", k), :, _block_index("sin", j), :] += sc
-    return GalerkinHessian(N=N, n=n, matrix=SymMatrix(q))
+    return GalerkinHessian(N=N, n=n, bandwidth=m_band, matrix=SymMatrix(q))
 
 
 def galerkin_path(hpath: HamiltonianPath, N: int) -> OperatorPath:
@@ -424,7 +451,8 @@ def _stabilized_flow(
     hpath: HamiltonianPath, N0: int | None, N_cap: int, t_samples: int
 ) -> tuple[SpectralFlowResult, int, OperatorPath]:
     # the doubling loop of galerkin_sf; also returns the last flow result and
-    # the galerkin path it came from, for callers that go on to use them
+    # the galerkin path it came from, for callers that go on to use them.
+    # Only the endpoint forms are assembled until the flow is stable.
     if N0 is None:
         N0 = max(hpath.bandwidth, int(math.ceil(2.0 * _sup_spectral_norm(hpath, t_samples))), 1)
     N = max(int(N0), hpath.bandwidth, 1)
@@ -433,15 +461,45 @@ def _stabilized_flow(
     trace: list[tuple[int, int]] = []
     prev: int | None = None
     while True:
-        gpath = galerkin_path(hpath, N)
-        result = extended_sf(gpath)
+        ends = (assemble_hessian(hpath.coeffs[0], N), assemble_hessian(hpath.coeffs[-1], N))
+        result = _endpoint_flow(hpath, ends)
         trace.append((N, result.total_sf))
         if prev is not None and result.total_sf == prev:
-            return result, N, gpath
+            inner = [assemble_hessian(c, N).matrix for c in hpath.coeffs[1:-1]]
+            mats = [ends[0].matrix, *inner, ends[1].matrix]
+            return result, N, OperatorPath.from_samples(hpath.lambdas, mats, smooth=True)
         prev = result.total_sf
         if N == N_cap:
             raise StabilizationError(trace)
         N = min(2 * N, N_cap)
+
+
+def _endpoint_flow(hpath: HamiltonianPath, ends: tuple[GalerkinHessian, GalerkinHessian]) -> SpectralFlowResult:
+    # What extended_sf returns for the path between the two endpoint forms,
+    # with the endpoint Morse indices counted by the inertia sweep at the
+    # shifts -+tol * (1 + eta), tol = default_zero_tol. Equal counts mean no
+    # eigenvalue in [-tol * (1 + eta), tol * (1 + eta)): the endpoint is
+    # admissible and its count below -tol is that count. Half of the
+    # eta * tol margin bounds the sweep's backward error, leaving the other
+    # half for the dense solve it stands in for, so both give the same
+    # integer. Any other outcome goes to the dense extended_sf, which also
+    # yields the shift of a singular endpoint.
+    neg = []
+    for form in ends:
+        tol = default_zero_tol(form.matrix)
+        shift = tol * (1.0 + _MARGIN)
+        counts = _shift_counts(form.matrix.entries, form.cuts, (-shift, shift), 0.5 * _MARGIN * tol)
+        if counts is None or counts[0] != counts[1]:
+            return extended_sf(OperatorPath.from_samples((hpath.a, hpath.b), [f.matrix for f in ends], smooth=True))
+        neg.append(int(counts[0]))
+    return SpectralFlowResult(
+        total_sf=neg[0] - neg[1],
+        crossings=(),
+        admissible_start=True,
+        admissible_end=True,
+        shift_delta=0.0,
+        grid_points_used=2,
+    )
 
 
 def index_difference(A_start, A_end) -> int:
@@ -469,7 +527,7 @@ def eig_range(coeff: TimePeriodicCoeff, t_samples: int = DEFAULT_T_SAMPLES) -> t
     ts = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
     values = coeff.values_on_grid(ts)
     values = (values + np.transpose(values, (0, 2, 1))) / 2.0
-    w = np.linalg.eigvalsh(values)
+    w = _lapack(np.linalg.eigvalsh, values)
     return float(np.min(w[:, 0])), float(np.max(w[:, -1]))
 
 

@@ -320,7 +320,7 @@ def extended_sf(path: OperatorPath, zero_tol: float | None = None) -> SpectralFl
     reduces to the plain Morse-index difference on admissible paths.
     """
     ma, mb = path(path.a), path(path.b)
-    wa, wb = np.linalg.eigvalsh(ma.entries), np.linalg.eigvalsh(mb.entries)
+    wa, wb = _lapack(np.linalg.eigvalsh, ma.entries), _lapack(np.linalg.eigvalsh, mb.entries)
     tol_a = default_zero_tol(ma) if zero_tol is None else zero_tol
     tol_b = default_zero_tol(mb) if zero_tol is None else zero_tol
     adm_a = _zero_count(wa, tol_a) == 0
@@ -640,7 +640,7 @@ def is_nondecreasing(path: OperatorPath, n_grid: int = DEFAULT_N_GRID, zero_tol:
         cur = path(x).entries
         diff = SymMatrix(cur - prev)
         tol = default_zero_tol(diff) if zero_tol is None else zero_tol
-        if float(np.min(np.linalg.eigvalsh(diff.entries))) < -tol:
+        if float(np.min(_lapack(np.linalg.eigvalsh, diff.entries))) < -tol:
             return False
         prev = cur
     return True
@@ -684,7 +684,7 @@ def compare_paths(left: OperatorPath, right: OperatorPath, zero_tol: float | Non
     def psd(mat: np.ndarray) -> bool:
         d = SymMatrix(mat)
         tol = default_zero_tol(d) if zero_tol is None else zero_tol
-        return float(np.min(np.linalg.eigvalsh(d.entries))) >= -tol
+        return float(np.min(_lapack(np.linalg.eigvalsh, d.entries))) >= -tol
 
     start_ordered = psd(right(right.a).entries - left(left.a).entries)
     end_ordered = psd(left(left.b).entries - right(right.b).entries)
@@ -818,8 +818,8 @@ def verify_axioms(seed: int = 0, trials: int = 100, dims: Sequence[int] = (2, 3,
 
         # endpoint Morse-index formula on admissible paths
         p = _rand_grid_path(rng, d)
-        mu_a = int(np.sum(np.linalg.eigvalsh(p(p.a).entries) < 0.0))
-        mu_b = int(np.sum(np.linalg.eigvalsh(p(p.b).entries) < 0.0))
+        mu_a = int(np.sum(_lapack(np.linalg.eigvalsh, p(p.a).entries) < 0.0))
+        mu_b = int(np.sum(_lapack(np.linalg.eigvalsh, p(p.b).entries) < 0.0))
         sf = extended_sf(p).total_sf
         if sf != mu_a - mu_b:
             fail("morse_index_formula", t, f"sf = {sf}, mu_a - mu_b = {mu_a - mu_b}",

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specflow.cli import ConfigError, parse_config, run, serialize_config
@@ -183,6 +184,14 @@ class TestExitCodes:
         cfg.write_text(text)
         assert run(["bifurcate", "--config", str(cfg)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_solver_failure_is_3(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run(["sf", "--config", str(CONFIGS / "periodic_family.json")]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestReports:

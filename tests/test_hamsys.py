@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from specflow import hamsys
 from specflow.hamsys import (
+    DEFAULT_N_CAP,
+    DEFAULT_T_SAMPLES,
     HamiltonianPath,
     ResonanceError,
     StabilizationError,
@@ -22,7 +25,8 @@ from specflow.hamsys import (
     lk_matrix,
     symplectic_matrix,
 )
-from specflow.symlin import SymMatrix, inertia
+from specflow.sfpath import extended_sf
+from specflow.symlin import SymMatrix, _shift_counts, default_zero_tol, inertia
 
 
 def quadrature_hessian(coeff, N, intervals=4096):
@@ -370,6 +374,173 @@ class TestGalerkinFlow:
             assert err.trace and err.trace[0][0] == 1
         else:  # pragma: no cover
             pytest.fail("expected StabilizationError")
+
+def sym(x):
+    return (x + x.T) / 2.0
+
+
+def truncation_family(rng, n, m_band, n0, radius=0.2):
+    """Two-sample family ``a(lambda) Id + harmonics`` whose flow stabilizes at
+    ``N = 2 * n0``: the high end ``n0 / 2 - 0.25`` sets ``ceil(2 sup ||A||)``
+    to ``n0``, the low end is ``k + 0.5``, and the harmonics have norms
+    summing to ``radius``; the direction is random."""
+    a_low = float(rng.integers(0, n0 // 4)) + 0.5
+    a_high = n0 / 2.0 - 0.25
+    d = 2 * n
+    harmonics = []
+    for _ in range(2):
+        mats = [sym(rng.standard_normal((d, d))) for _ in range(2 * m_band)]
+        total = sum(float(np.linalg.norm(x, 2)) for x in mats)
+        harmonics.append([x * (radius / total) for x in mats])
+    ends = (a_low, a_high) if rng.random() < 0.5 else (a_high, a_low)
+    coeffs = tuple(
+        TimePeriodicCoeff(a0=a * np.eye(d), cos_terms=tuple(h[:m_band]), sin_terms=tuple(h[m_band:]))
+        for a, h in zip(ends, harmonics)
+    )
+    return HamiltonianPath(lambdas=(0.0, 1.0), coeffs=coeffs)
+
+
+def random_family(rng, n=2, m_band=2):
+    """Three samples with random non-scalar constant terms and harmonics."""
+    d = 2 * n
+    coeffs = tuple(
+        TimePeriodicCoeff(
+            a0=sym(rng.standard_normal((d, d))) + shift * np.eye(d),
+            cos_terms=tuple(0.5 * sym(rng.standard_normal((d, d))) for _ in range(m_band)),
+            sin_terms=tuple(0.5 * sym(rng.standard_normal((d, d))) for _ in range(m_band)),
+        )
+        for shift in (-1.0, 0.5, 3.0)
+    )
+    return HamiltonianPath(lambdas=(0.0, 0.4, 1.0), coeffs=coeffs)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(hamsys, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(hamsys, name, counted)
+    return calls
+
+
+#: The shifts -+tol * (1 -+ eta) around both ends of the tolerance band.
+BAND_SHIFTS = np.array([-1.0 - hamsys._MARGIN, -1.0 + hamsys._MARGIN, 1.0 - hamsys._MARGIN, 1.0 + hamsys._MARGIN])
+
+
+class TestInertiaSweep:
+    @pytest.mark.parametrize("n, m_band, N", [(1, 0, 0), (1, 0, 5), (2, 1, 7), (2, 3, 3), (3, 3, 11), (1, 4, 13)])
+    def test_cuts_make_the_form_block_tridiagonal(self, n, m_band, N):
+        rng = np.random.default_rng([52, n, m_band, N])
+        d = 2 * n
+        coeff = TimePeriodicCoeff(
+            a0=rand_sym(rng, d),
+            cos_terms=tuple(rand_sym(rng, d) for _ in range(m_band)),
+            sin_terms=tuple(rand_sym(rng, d) for _ in range(m_band)),
+        )
+        form = assemble_hessian(coeff, N)
+        cuts = np.array(form.cuts)
+        assert cuts[-1] == form.dim and np.all(np.diff(cuts) > 0)
+        group = np.searchsorted(cuts, np.arange(form.dim), side="right")
+        far = np.abs(group[:, None] - group[None, :]) > 1
+        assert np.all(form.matrix.entries[far] == 0.0)
+
+    def test_counts_match_dense_solves(self):
+        # 400 forms: n 1..3, M 0..4, N from max(M, 1) to 40 (every seventh at
+        # its smallest value, so N = M), amplitudes 0.1..20
+        rng = np.random.default_rng(51)
+        for i in range(400):
+            n, m_band, amp = 1 + i % 3, i % 5, (0.1, 1.0, 5.0, 20.0)[i % 4]
+            N = max(m_band, 1) if i % 7 == 0 else int(rng.integers(max(m_band, 1), 41))
+            d = 2 * n
+            coeff = TimePeriodicCoeff(
+                a0=rand_sym(rng, d, amp),
+                cos_terms=tuple(rand_sym(rng, d, amp) for _ in range(m_band)),
+                sin_terms=tuple(rand_sym(rng, d, amp) for _ in range(m_band)),
+            )
+            form = assemble_hessian(coeff, N)
+            tol = default_zero_tol(form.matrix)
+            shifts = tol * BAND_SHIFTS
+            got = _shift_counts(form.matrix.entries, form.cuts, shifts, 0.5 * hamsys._MARGIN * tol)
+            want = np.sum(np.linalg.eigvalsh(form.matrix.entries) < shifts[:, None], axis=1)
+            assert got is not None, (n, m_band, N, amp)
+            assert np.array_equal(got, want), (n, m_band, N, amp)
+
+    def test_zero_pivot_is_not_certified(self):
+        # [[0, I], [I, 0]] is invertible, but its leading pivot block is zero
+        swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        assert _shift_counts(swap, (2, 4), (0.0,), 1.0) is None
+        # a tiny shift makes the pivot invertible but the growth unbounded
+        assert _shift_counts(swap, (2, 4), (-1e-12, 1e-12), 1e-6) is None
+        assert np.array_equal(_shift_counts(swap, (2, 4), (-0.5, 0.5), 1e-6), [2, 2])
+
+
+class TestStabilizedFlow:
+    SHAPES = ((1, 1, 24), (2, 2, 32), (1, 3, 48), (2, 1, 56), (1, 2, 64), (2, 3, 136))
+
+    def test_pinned_flows(self):
+        # (sf, N) as computed with dense endpoint solves
+        rng = np.random.default_rng([1, 2])
+        families = [truncation_family(rng, *shape) for shape in self.SHAPES]
+        families.append(random_family(np.random.default_rng(41)))
+        got = [galerkin_sf(f) for f in families]
+        assert got == [(16, 48), (-48, 64), (26, 96), (64, 112), (-48, 128), (220, 272), (11, 28)]
+
+    def test_certified_counts_match_dense_flow(self, monkeypatch):
+        hpath = random_family(np.random.default_rng(41))
+        dense = count_calls(monkeypatch, "extended_sf")
+        result, n_used, _ = hamsys._stabilized_flow(hpath, None, DEFAULT_N_CAP, DEFAULT_T_SAMPLES)
+        assert not dense
+        assert result == extended_sf(galerkin_path(hpath, n_used))
+
+    def test_resonant_endpoint_uses_dense_flow(self, monkeypatch):
+        # L^1(Id) is singular, so the end form has a kernel and needs a shift
+        hpath = HamiltonianPath(
+            lambdas=(0.0, 1.0),
+            coeffs=(TimePeriodicCoeff.constant(0.5 * np.eye(2)), TimePeriodicCoeff.constant(np.eye(2))),
+        )
+        dense = count_calls(monkeypatch, "extended_sf")
+        result, n_used, _ = hamsys._stabilized_flow(hpath, None, DEFAULT_N_CAP, DEFAULT_T_SAMPLES)
+        assert dense
+        assert result == extended_sf(galerkin_path(hpath, n_used))
+        assert not result.admissible_end and result.shift_delta > 0.0
+
+    def test_eigenvalue_in_margin_uses_dense_flow(self, monkeypatch):
+        # A = a Id puts the eigenvalue pi * (a - 1) in the form; place it at
+        # 1.25 tol at N = 4, outside the tolerance band but inside the margin
+        a = 1.0
+        for _ in range(3):
+            tol = default_zero_tol(assemble_hessian(TimePeriodicCoeff.constant(a * np.eye(2)), 4).matrix)
+            a = 1.0 + 1.25 * tol / math.pi
+        hpath = HamiltonianPath(
+            lambdas=(0.0, 1.0),
+            coeffs=(TimePeriodicCoeff.constant(0.5 * np.eye(2)), TimePeriodicCoeff.constant(a * np.eye(2))),
+        )
+        dense = count_calls(monkeypatch, "extended_sf")
+        result, n_used, _ = hamsys._stabilized_flow(hpath, 2, DEFAULT_N_CAP, DEFAULT_T_SAMPLES)
+        assert n_used == 4 and len(dense) == 1
+        assert result == extended_sf(galerkin_path(hpath, n_used))
+        assert result.admissible_end and result.shift_delta == 0.0 and result.total_sf == 2
+
+    def test_interior_samples_assembled_once(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        lambdas = (0.0, 0.3, 0.7, 1.0)
+        hpath = HamiltonianPath(
+            lambdas=lambdas,
+            coeffs=tuple(
+                TimePeriodicCoeff(a0=rand_sym(rng, 4) + 2.0 * lam * np.eye(4), cos_terms=(0.3 * rand_sym(rng, 4),), sin_terms=())
+                for lam in lambdas
+            ),
+        )
+        assembled = count_calls(monkeypatch, "assemble_hessian")
+        _, n_used, gpath = hamsys._stabilized_flow(hpath, 2, DEFAULT_N_CAP, DEFAULT_T_SAMPLES)
+        tried = int(math.log2(n_used // 2)) + 1
+        assert tried >= 2 and len(assembled) == 2 * tried + 2
+        want = galerkin_path(hpath, n_used)
+        assert np.array_equal(gpath._lambdas, want._lambdas)
+        assert all(np.array_equal(x, y) for x, y in zip(gpath._matrices, want._matrices, strict=True))
 
 
 class TestEigRange:

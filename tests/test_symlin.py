@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from specflow.sfpath import OperatorPath
+from specflow.bifurcate import krasnoselskii, sweep2d
+from specflow.hamsys import TimePeriodicCoeff, eig_range, hamiltonian_index
+from specflow.sfpath import OperatorPath, compare_paths, extended_sf, is_nondecreasing
 from specflow.symlin import (
     EigenSolverError,
     SymMatrix,
@@ -39,6 +41,22 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             s.entries[0, 0] = 5.0
 
+    def test_symmetrization_bit_identical_to_halved_sum(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 5, 17):
+            x = rng.normal(size=(d, d))
+            x[rng.random((d, d)) < 0.3] = 0.0
+            x[rng.random((d, d)) < 0.3] = -0.0
+            for src in (x, x.T, np.asfortranarray(x)):
+                keep = src.copy()
+                s = SymMatrix(src)
+                want = (src + src.T) / 2.0
+                assert np.array_equal(s.entries, want)
+                assert np.array_equal(np.signbit(s.entries), np.signbit(want))
+                assert s.entries.flags.c_contiguous and not s.entries.flags.writeable
+                assert not np.shares_memory(s.entries, src)
+                assert np.array_equal(src, keep) and src.flags.writeable
+
 
 class TestSolverErrors:
     def test_non_convergence_is_reported(self, monkeypatch):
@@ -48,7 +66,18 @@ class TestSolverErrors:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         path = OperatorPath.from_samples([0.0, 1.0], [np.eye(2), -np.eye(2)])
-        for solve in (eigensym, inertia, lambda m: path.eigvals([0.0, 0.5])):
+        for solve in (
+            eigensym,
+            inertia,
+            lambda m: path.eigvals([0.0, 0.5]),
+            lambda m: extended_sf(path),
+            lambda m: is_nondecreasing(path),
+            lambda m: compare_paths(path, path),
+            lambda m: sweep2d([[m, m], [m, m]], base=(0, 0)),
+            lambda m: krasnoselskii(m, (0.0, 3.0)),
+            lambda m: eig_range(TimePeriodicCoeff.constant(m)),
+            hamiltonian_index,
+        ):
             with pytest.raises(EigenSolverError, match="did not converge"):
                 solve(np.diag([1.0, 2.0]))
 

@@ -6,9 +6,9 @@ derivatives realize the path, and the number of such parameters is at least
 ``ceil(|sf| / m)`` with ``m`` the largest kernel dimension met along the way.
 Crossings with zero local flow are reported as candidates without a
 conclusion. On two-parameter rectangles, nodes of a lattice are labeled by
-the flow along lattice paths from a base node; the labels are well defined
-exactly when every elementary loop carries zero flow, which is checked cell
-by cell.
+the flow along lattice paths from a base node; edge flows are differences of
+negative eigenvalue counts, so every elementary loop carries zero flow and
+the labels are well defined by construction.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .symlin import REL_ZERO_TOL, _lapack, as_sym
+from .symlin import _family_tol, _lapack, as_sym, default_zero_tol
 from .sfpath import (
     Crossing,
     OperatorPath,
-    _band_tol,
     classify_crossings,
     extended_sf,
+    is_admissible,
     locate_crossings,
 )
 
@@ -155,7 +155,7 @@ def trace_components(
     cuts.append(path.b)
     segments = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(len(crossings) + 1)]
     w = path.eigvals([path.a] + [0.5 * (lo + hi) for lo, hi in segments])
-    neg = np.sum(w < -_band_tol(w, zero_tol), axis=1)
+    neg = np.sum(w < -default_zero_tol(eigvals=w, zero_tol=zero_tol), axis=1)
     indices = tuple(int(neg[0] - n) for n in neg[1:])
     return PathComponentTrace(
         segments=tuple(segments),
@@ -170,9 +170,9 @@ class ComponentMap2D:
 
     ``index`` holds, per node, the flow along a lattice path from the base
     node (``None`` on singular nodes); edges are affine interpolations of the
-    node matrices, so labels are exact integers. ``loop_defects`` lists
-    elementary cells with non-singular corners whose boundary flow fails to
-    vanish.
+    node matrices, so labels are exact integers. ``loop_defects`` is always
+    empty: edge flows are differences of node counts, so the flow around
+    every elementary cell vanishes; the field stays in the report.
     """
 
     s_coords: tuple[float, ...]
@@ -200,9 +200,8 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     The flow along a lattice edge is the drop of the negative eigenvalue count
     (the extended convention keeps edge flows additive, also through singular
     nodes), so the flow along any lattice path from the base node to a node
-    is ``neg[base] - neg[node]``. Every elementary loop with non-singular
-    corners is checked for zero boundary flow, and labels are reported only
-    at non-singular nodes.
+    is ``neg[base] - neg[node]``. Labels are reported only at non-singular
+    nodes, against one band for the whole lattice.
     """
     rows = [[as_sym(m) for m in row] for row in matrices]
     ns = len(rows)
@@ -215,11 +214,10 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     if any(m.dim != dim for r in rows for m in r):
         raise ValueError("all lattice matrices must share one dimension")
 
-    evals = _lapack(np.linalg.eigvalsh, np.stack([m.entries for r in rows for m in r])).reshape(ns, nt, dim)
-    scale = max(1.0, float(np.max(np.linalg.norm(evals, axis=2))) / math.sqrt(dim))
-    tol = REL_ZERO_TOL * scale if zero_tol is None else zero_tol
-    neg = np.sum(evals < -tol, axis=2).astype(int)
-    singular = np.any(np.abs(evals) <= tol, axis=2)
+    evals = _lapack(np.linalg.eigvalsh, np.stack([m.entries for r in rows for m in r]))
+    tol = _family_tol(evals, zero_tol)
+    neg = np.sum(evals < -tol, axis=1).reshape(ns, nt)
+    singular = np.any(np.abs(evals) <= tol, axis=1).reshape(ns, nt)
 
     bi, bj = base
     if not (0 <= bi < ns and 0 <= bj < nt):
@@ -233,19 +231,6 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     for i, j in zip(*np.nonzero(~singular)):
         index[i, j] = int(neg[bi, bj] - neg[i, j])
 
-    defects = []
-    for i in range(ns - 1):
-        for j in range(nt - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if any(singular[u, v] for u, v in corners):
-                continue
-            loop = 0
-            ring = corners + [corners[0]]
-            for (u1, v1), (u2, v2) in zip(ring, ring[1:]):
-                loop += int(neg[u1, v1] - neg[u2, v2])
-            if loop != 0:
-                defects.append((i, j))
-
     s_coords = tuple(np.linspace(0.0, 1.0, ns))
     t_coords = tuple(np.linspace(0.0, 1.0, nt))
     return ComponentMap2D(
@@ -254,7 +239,7 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
         singular_mask=singular,
         index=index,
         base=(bi, bj),
-        loop_defects=tuple(defects),
+        loop_defects=(),
     )
 
 
@@ -275,13 +260,12 @@ def krasnoselskii(
     c, d = float(interval[0]), float(interval[1])
     if not d > c:
         raise ValueError("interval must satisfy c < d")
-    eigs = _lapack(np.linalg.eigvalsh, K.entries)
-    tol = max(1e-9, 1e-9 * float(np.max(np.abs(eigs), initial=1.0)))
-    if np.any(np.abs(eigs - c) <= tol) or np.any(np.abs(eigs - d) <= tol):
-        raise ValueError("an interval endpoint lies in the spectrum of K")
     path = OperatorPath.from_samples(
         [c, d], [c * np.eye(K.dim) - K.entries, d * np.eye(K.dim) - K.entries], smooth=True
     )
+    if not all(is_admissible(path)):
+        raise ValueError("an interval endpoint lies in the spectrum of K")
+    eigs = _lapack(np.linalg.eigvalsh, K.entries)
     report = analyze_path(path, n_grid=n_grid, eps_lambda=eps_lambda)
 
     inside = eigs[(eigs > c) & (eigs < d)]

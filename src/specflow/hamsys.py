@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symlin import SymMatrix, _lapack, _shift_counts, as_sym, default_zero_tol, inertia
+from .symlin import SymMatrix, _clear_neg_count, _lapack, as_sym, inertia
 from .sfpath import (
     EndpointCrossingError,
     OperatorPath,
@@ -65,11 +65,6 @@ __all__ = [
 
 DEFAULT_N_CAP = 512
 DEFAULT_T_SAMPLES = 1024
-
-#: Relative width ``eta`` of the bands ``tol * [1 - eta, 1 + eta]`` next to
-#: the endpoint tolerance bands that must hold no eigenvalue before the
-#: inertia sweep's counts replace the dense endpoint solves.
-_MARGIN = 0.5
 
 
 class ResonanceError(ValueError):
@@ -164,15 +159,9 @@ def hamiltonian_index(A, zero_tol: float | None = None) -> IndexResult:
     """
     A = as_sym(A)
     k_max = _k_max_for(A)
-    per_k = []
-    resonant = False
-    for k in range(k_max + 1):
-        lk = lk_matrix(A, k)
-        tol = default_zero_tol(lk) if zero_tol is None else zero_tol
-        inr = inertia(lk, zero_tol=tol)
-        if inr.zero > 0:
-            resonant = True
-        per_k.append(inr.signature)
+    inrs = [inertia(lk_matrix(A, k), zero_tol=zero_tol) for k in range(k_max + 1)]
+    per_k = [inr.signature for inr in inrs]
+    resonant = any(inr.zero > 0 for inr in inrs)
     value = None
     if not resonant:
         half_sgn_a = per_k[0] // 2  # sgn L^0 = 2 sgn(A), and sgn(A) is even here
@@ -476,22 +465,11 @@ def _stabilized_flow(
 
 def _endpoint_flow(hpath: HamiltonianPath, ends: tuple[GalerkinHessian, GalerkinHessian]) -> SpectralFlowResult:
     # What extended_sf returns for the path between the two endpoint forms,
-    # with the endpoint Morse indices counted by the inertia sweep at the
-    # shifts -+tol * (1 + eta), tol = default_zero_tol. Equal counts mean no
-    # eigenvalue in [-tol * (1 + eta), tol * (1 + eta)): the endpoint is
-    # admissible and its count below -tol is that count. Half of the
-    # eta * tol margin bounds the sweep's backward error, leaving the other
-    # half for the dense solve it stands in for, so both give the same
-    # integer. Any other outcome goes to the dense extended_sf, which also
-    # yields the shift of a singular endpoint.
-    neg = []
-    for form in ends:
-        tol = default_zero_tol(form.matrix)
-        shift = tol * (1.0 + _MARGIN)
-        counts = _shift_counts(form.matrix.entries, form.cuts, (-shift, shift), 0.5 * _MARGIN * tol)
-        if counts is None or counts[0] != counts[1]:
-            return extended_sf(OperatorPath.from_samples((hpath.a, hpath.b), [f.matrix for f in ends], smooth=True))
-        neg.append(int(counts[0]))
+    # with the endpoint Morse indices counted by the inertia sweep; when it
+    # cannot count both, the dense extended_sf decides (and shifts).
+    neg = [_clear_neg_count(form.matrix, form.cuts) for form in ends]
+    if None in neg:
+        return extended_sf(OperatorPath.from_samples((hpath.a, hpath.b), [f.matrix for f in ends], smooth=True))
     return SpectralFlowResult(
         total_sf=neg[0] - neg[1],
         crossings=(),
@@ -649,9 +627,17 @@ def coefficient_bounds(
 
 
 def _restrict(path: OperatorPath, a: float, b: float) -> OperatorPath:
+    # a grid path stays a grid path: its samples strictly inside (a, b) and
+    # its own interpolated values at a and b
     if a == path.a and b == path.b:
         return path
-    return OperatorPath.from_callable(a, b, path.dim, lambda lam: path(lam), smooth=path.smooth)
+    if not path.is_grid:
+        return OperatorPath.from_callable(a, b, path.dim, path, smooth=path.smooth)
+    inside = (path._lambdas > a) & (path._lambdas < b)
+    lams = np.concatenate([[a], path._lambdas[inside], [b]])
+    ends = path._values([a, b])
+    mats = [ends[0], *(m for m, keep in zip(path._matrices, inside) if keep), ends[1]]
+    return OperatorPath.from_samples(lams, mats, smooth=path.smooth)
 
 
 def scan_crossings_trimmed(path: OperatorPath, n_grid: int = 256) -> tuple[tuple, tuple[str, ...]]:

@@ -27,8 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .symlin import (
-    REL_ZERO_TOL,
+    _CLEAR_FACTOR,
     SymMatrix,
+    _drift_tol,
+    _family_tol,
     _lapack,
     as_sym,
     default_zero_tol,
@@ -295,19 +297,11 @@ def _zero_count(w: np.ndarray, tol: float) -> int:
     return int(np.sum(np.abs(w) <= tol))
 
 
-def _band_tol(w: np.ndarray, zero_tol: float | None) -> np.ndarray:
-    """Band half-width per eigenvalue row of ``w``, as a column: ``zero_tol``,
-    or the scale-relative default of the matrix the row belongs to."""
-    if zero_tol is not None:
-        return np.full((len(w), 1), float(zero_tol))
-    return REL_ZERO_TOL * np.maximum(1.0, np.linalg.norm(w, axis=1, keepdims=True) / math.sqrt(w.shape[1]))
-
-
 def is_admissible(path: OperatorPath, zero_tol: float | None = None) -> tuple[bool, bool]:
     """Whether each endpoint matrix is invertible (no eigenvalue inside the
     tolerance band)."""
     w = path.eigvals([path.a, path.b])
-    clear = np.all(np.abs(w) > _band_tol(w, zero_tol), axis=1)
+    clear = np.all(np.abs(w) > default_zero_tol(eigvals=w, zero_tol=zero_tol), axis=1)
     return bool(clear[0]), bool(clear[1])
 
 
@@ -321,8 +315,7 @@ def extended_sf(path: OperatorPath, zero_tol: float | None = None) -> SpectralFl
     """
     ma, mb = path(path.a), path(path.b)
     wa, wb = _lapack(np.linalg.eigvalsh, ma.entries), _lapack(np.linalg.eigvalsh, mb.entries)
-    tol_a = default_zero_tol(ma) if zero_tol is None else zero_tol
-    tol_b = default_zero_tol(mb) if zero_tol is None else zero_tol
+    tol_a, tol_b = default_zero_tol(ma, zero_tol), default_zero_tol(mb, zero_tol)
     adm_a = _zero_count(wa, tol_a) == 0
     adm_b = _zero_count(wb, tol_b) == 0
     delta = 0.0
@@ -395,9 +388,8 @@ def _bisect(path: OperatorPath, lo, hi, nlo, nhi, eps: float) -> list[tuple]:
 
 def _clear_points(path: OperatorPath, lo: np.ndarray, hi: np.ndarray, tol: float, eps: float) -> list[np.ndarray]:
     # walk away from every bracket, doubling the step from eps, to the first
-    # point with no eigenvalue within 2*tol of zero, so slow eigenvalue
-    # branches are counted correctly; a walk ends at 0.4 of the room to the
-    # neighbouring bracket or endpoint
+    # point with no eigenvalue within _CLEAR_FACTOR * tol of zero; a walk
+    # ends at 0.4 of the room to the neighbouring bracket or endpoint
     x0 = np.concatenate([lo, hi])
     step = np.repeat([-1.0, 1.0], lo.size)
     max_ext = 0.4 * np.concatenate([lo - np.append(path.a, hi[:-1]), np.append(lo[1:], path.b) - hi])
@@ -406,7 +398,7 @@ def _clear_points(path: OperatorPath, lo: np.ndarray, hi: np.ndarray, tol: float
     while np.any(walking):
         idx = np.flatnonzero(walking)
         x = x0[idx] + step[idx] * ext
-        clear = np.min(np.abs(path.eigvals(x)), axis=1) > 2.0 * tol
+        clear = np.min(np.abs(path.eigvals(x)), axis=1) > _CLEAR_FACTOR * tol
         out[idx[clear]] = x[clear]
         walking[idx[clear]] = False
         ext *= 2.0
@@ -414,9 +406,10 @@ def _clear_points(path: OperatorPath, lo: np.ndarray, hi: np.ndarray, tol: float
     return np.split(out, 2)
 
 
-def _drift(m: np.ndarray) -> float:
-    # largest Frobenius distance from the first stacked matrix to the others
-    return max(float(np.linalg.norm(m[0] - x)) for x in m[1:])
+def _kernel_tol(path: OperatorPath, x: float, bracket: tuple[float, float], eps: float, zero_tol: float | None) -> float:
+    # the drift band of the crossing estimate x over its bracket +- eps
+    lo, hi = max(path.a, bracket[0] - eps), min(path.b, bracket[1] + eps)
+    return _drift_tol(path._values([x, lo, hi]), zero_tol)
 
 
 def locate_crossings(
@@ -442,9 +435,9 @@ def locate_crossings(
     the missed crossing and the partition is rebuilt. So the local flows sum
     to the extended flow ``total_sf`` by construction; a census that does not
     close within ``REFINE_CAP`` rounds raises ``RuntimeError``.
-    ``kernel_dim`` counts the eigenvalues near zero at the estimate, with a
-    tolerance that covers the drift across the cell, and is at least
-    ``|local_sf|``.
+    ``kernel_dim`` counts the eigenvalues at the estimate that lie within
+    the drift over the bracket +- eps_lambda (or within the band, when that
+    is wider), and is at least ``|local_sf|``.
 
     Raises :class:`EndpointCrossingError` when a singularity is detected
     within ``eps_lambda`` of either endpoint.
@@ -455,7 +448,7 @@ def locate_crossings(
     eps = 1e-8 * (b - a) if eps_lambda is None else float(eps_lambda)
     grid = np.linspace(a, b, n_grid)
     w = path.eigvals(grid)
-    tol = float(np.max(_band_tol(w, zero_tol)))  # the widest band along the scan
+    tol = _family_tol(w, zero_tol)
     neg, neg0 = np.sum(w < -tol, axis=1), np.sum(w < 0.0, axis=1)
     minabs = np.min(np.abs(w), axis=1)
     singular = minabs <= tol
@@ -527,10 +520,8 @@ def locate_crossings(
 
     est = np.array([min(g, key=lambda e: e[3])[2] for g in groups])
     crossings = []
-    for x, w_x, x_lo, x_hi, p_lo, p_hi, n_lo, n_hi in zip(
-        est, path.eigvals(est), lo, hi, left, right, npts[1:-1:2], npts[2:-1:2]
-    ):
-        kdim = _zero_count(w_x, max(tol, _drift(path._values([x, p_lo, p_hi]))))
+    for x, w_x, x_lo, x_hi, n_lo, n_hi in zip(est, path.eigvals(est), lo, hi, npts[1:-1:2], npts[2:-1:2]):
+        kdim = _zero_count(w_x, _kernel_tol(path, x, (x_lo, x_hi), eps, tol))
         crossings.append(
             Crossing(
                 lambda_est=float(x),
@@ -588,11 +579,6 @@ def crossing_form(
     return CrossingForm(matrix=form.entries, signature=q.signature, regular=q.zero == 0)
 
 
-def _crossing_kernel_tol(path: OperatorPath, c: Crossing, eps: float) -> float:
-    m = path._values([c.lambda_est, max(path.a, c.bracket[0] - eps), min(path.b, c.bracket[1] + eps)])
-    return max(default_zero_tol(SymMatrix(m[0])), _drift(m))
-
-
 def classify_crossings(
     path: OperatorPath,
     crossings: Sequence[Crossing],
@@ -603,7 +589,7 @@ def classify_crossings(
     eps = 1e-8 * (path.b - path.a) if eps_lambda is None else eps_lambda
     out = []
     for c in crossings:
-        form = crossing_form(path, c.lambda_est, h=h, zero_tol=_crossing_kernel_tol(path, c, eps))
+        form = crossing_form(path, c.lambda_est, h=h, zero_tol=_kernel_tol(path, c.lambda_est, c.bracket, eps, None))
         out.append(replace(c, crossing_form_signature=form.signature, regular=form.regular))
     return tuple(out)
 
@@ -630,20 +616,14 @@ def sf_regular_sum(
 
 
 def is_nondecreasing(path: OperatorPath, n_grid: int = DEFAULT_N_GRID, zero_tol: float | None = None) -> bool:
-    """True when consecutive grid increments have no eigenvalue below the
-    tolerance band."""
+    """True when no increment has an eigenvalue below its tolerance band:
+    exactly, from the sample differences, on a grid path (``n_grid`` is then
+    not used), and on the increments of an ``n_grid``-point grid otherwise."""
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    grid = np.linspace(path.a, path.b, n_grid)
-    prev = path(grid[0]).entries
-    for x in grid[1:]:
-        cur = path(x).entries
-        diff = SymMatrix(cur - prev)
-        tol = default_zero_tol(diff) if zero_tol is None else zero_tol
-        if float(np.min(_lapack(np.linalg.eigvalsh, diff.entries))) < -tol:
-            return False
-        prev = cur
-    return True
+    mats = np.stack(path._matrices) if path.is_grid else path._values(np.linspace(path.a, path.b, n_grid))
+    w = _lapack(np.linalg.eigvalsh, np.diff(mats, axis=0))
+    return bool(np.all(w[:, :1] >= -default_zero_tol(eigvals=w, zero_tol=zero_tol)))
 
 
 @dataclass(frozen=True)
@@ -680,14 +660,8 @@ def compare_paths(left: OperatorPath, right: OperatorPath, zero_tol: float | Non
         raise ValueError("dimension mismatch")
     if abs(left.a - right.a) > _JUNCTION_TOL * max(1.0, abs(left.a)) or abs(left.b - right.b) > _JUNCTION_TOL * max(1.0, abs(left.b)):
         raise ValueError("domain mismatch")
-
-    def psd(mat: np.ndarray) -> bool:
-        d = SymMatrix(mat)
-        tol = default_zero_tol(d) if zero_tol is None else zero_tol
-        return float(np.min(_lapack(np.linalg.eigvalsh, d.entries))) >= -tol
-
-    start_ordered = psd(right(right.a).entries - left(left.a).entries)
-    end_ordered = psd(left(left.b).entries - right(right.b).entries)
+    start_ordered = inertia(right(right.a).entries - left(left.a).entries, zero_tol).neg == 0
+    end_ordered = inertia(left(left.b).entries - right(right.b).entries, zero_tol).neg == 0
     sf_left = extended_sf(left, zero_tol=zero_tol).total_sf
     sf_right = extended_sf(right, zero_tol=zero_tol).total_sf
     return ComparisonReport(

@@ -31,6 +31,18 @@ __all__ = [
 #: Relative eigenvalue tolerance used whenever no explicit zero_tol is given.
 REL_ZERO_TOL = 1e-8
 
+# Every zero decision uses the band of default_zero_tol or one of the
+# widenings below it, each with its reason.
+
+#: Cell ends of a crossing census have no eigenvalue within ``_CLEAR_FACTOR
+#: * tol`` of zero, a band's width clear of the band, so counts below 0 and
+#: below ``-tol`` agree there with room to spare.
+_CLEAR_FACTOR = 2.0
+
+#: Relative width ``eta`` of the margin around the band that an inertia
+#: sweep's count needs before it replaces a dense solve.
+_MARGIN = 0.5
+
 #: Rank tolerance for spectral-subspace intersections in :func:`rel_morse`.
 RANK_TOL = 1e-8
 
@@ -93,10 +105,38 @@ def as_sym(value) -> SymMatrix:
     return SymMatrix(np.asarray(value, dtype=float))
 
 
-def default_zero_tol(S) -> float:
-    """Scale-relative kernel tolerance: ``1e-8 * max(1, ||S||_F / sqrt(dim))``."""
-    S = as_sym(S)
-    return REL_ZERO_TOL * max(1.0, S.norm_fro() / math.sqrt(S.dim))
+def default_zero_tol(S=None, zero_tol: float | None = None, *, eigvals: np.ndarray | None = None):
+    """Half-width of the zero band: ``zero_tol`` when given (it must be
+    non-negative), else ``REL_ZERO_TOL * max(1, ||S||_F / sqrt(dim))``.
+
+    Given eigenvalue rows ``eigvals`` of shape ``(n, dim)`` instead of ``S``,
+    the default is the same rule per row (``||w||_2 = ||S||_F``), returned as
+    an ``(n, 1)`` column.
+    """
+    if zero_tol is not None:
+        if zero_tol < 0:
+            raise ValueError("zero_tol must be non-negative")
+        return float(zero_tol)
+    if eigvals is None:
+        S = as_sym(S)
+        norm, dim = S.norm_fro(), S.dim
+    else:
+        norm, dim = np.linalg.norm(eigvals, axis=1, keepdims=True), eigvals.shape[1]
+    return REL_ZERO_TOL * np.maximum(1.0, norm / math.sqrt(dim))
+
+
+def _family_tol(eigvals: np.ndarray, zero_tol: float | None = None) -> float:
+    """The widest band over the eigenvalue rows of a scan grid or lattice, so
+    a count or a singularity test means the same all over the family."""
+    return float(np.max(default_zero_tol(eigvals=eigvals, zero_tol=zero_tol)))
+
+
+def _drift_tol(mats: np.ndarray, zero_tol: float | None = None) -> float:
+    """Band for the kernel at a crossing estimate ``mats[0]``, widened to its
+    largest Frobenius distance to the path at the bracket ends ``mats[1:]``,
+    which bounds how far an eigenvalue moves in between (Weyl)."""
+    drift = max(float(np.linalg.norm(mats[0] - x)) for x in mats[1:])
+    return max(default_zero_tol(mats[0], zero_tol), drift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +225,7 @@ def inertia(S, zero_tol: float | None = None) -> Inertia:
     ``zero_tol=None`` selects the scale-relative default.
     """
     S = as_sym(S)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(S)
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
+    zero_tol = default_zero_tol(S, zero_tol)
     w = _lapack(np.linalg.eigvalsh, S.entries)
     neg = int(np.sum(w < -zero_tol))
     pos = int(np.sum(w > zero_tol))
@@ -258,16 +295,28 @@ def _shift_counts(q: np.ndarray, cuts, shifts, margin: float) -> np.ndarray | No
     return np.sum(lam < 0.0, axis=1)
 
 
+def _clear_neg_count(S: SymMatrix, cuts) -> int | None:
+    """Number of eigenvalues of the block-tridiagonal ``S`` below ``-tol``
+    from one sweep at the shifts ``-+tol * (1 + eta)``, or ``None`` when a
+    dense solve must decide. Equal counts mean ``S`` is clear of the band,
+    and its count below ``-tol`` is that count. Half of the ``eta * tol``
+    margin bounds the sweep's backward error, leaving the other half for the
+    dense solve it stands in for, so both give the same integer."""
+    tol = default_zero_tol(S)
+    shift = tol * (1.0 + _MARGIN)
+    counts = _shift_counts(S.entries, cuts, (-shift, shift), 0.5 * _MARGIN * tol)
+    if counts is None or counts[0] != counts[1]:
+        return None
+    return int(counts[0])
+
+
 def kernel_basis(S, zero_tol: float | None = None) -> np.ndarray:
     """Orthonormal eigenvectors for eigenvalues with ``|w| <= zero_tol``.
 
     Returns a ``dim x k`` read-only array; ``k`` equals ``inertia(S).zero``.
     """
     S = as_sym(S)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(S)
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
+    zero_tol = default_zero_tol(S, zero_tol)
     dec = eigensym(S)
     keep = np.abs(dec.eigenvalues) <= zero_tol
     return _readonly(dec.eigenvectors[:, keep])

@@ -33,6 +33,15 @@ class TestAnalyzePath:
         assert rep.total_sf == 0 and rep.lower_bound == 0
         assert any("candidate" in n for n in rep.notes)
 
+    def test_kernel_dim_ignores_parked_branches(self):
+        # branches parked at 1.5e-8 and 0.01 are not kernel: the first sits
+        # just outside the band, the second far outside the drift over the
+        # brackets, though within the drift out to the cells' clear points
+        p = diag_path(0.0, 1.0, lambda l: 0.1 * (l - 0.3), lambda l: 0.1 * (l - 0.7), lambda l: 1.5e-8, lambda l: 0.01)
+        rep = analyze_path(p)
+        assert [c.kernel_dim for c in rep.crossings] == [1, 1]
+        assert rep.total_sf == 2 and rep.m == 1 and rep.lower_bound == 2
+
     def test_lower_bound_never_exceeds_crossing_count(self):
         rng = np.random.default_rng(31)
         for _ in range(40):

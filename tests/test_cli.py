@@ -140,6 +140,13 @@ class TestExitCodes:
         cfg.write_text((CONFIGS / "constant_index.json").read_text())
         assert run(["sf", "--config", str(cfg)]) == 2
 
+    def test_negative_zero_tol_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**json.loads((CONFIGS / "path_basic.json").read_text()), "zero_tol": -1.0}))
+        for command in ("sf", "bifurcate"):
+            assert run([command, "--config", str(cfg)]) == 2
+            assert "zero_tol must be non-negative" in capsys.readouterr().err
+
     def test_nonstabilization_is_3(self, tmp_path, capsys):
         text = json.dumps(
             {

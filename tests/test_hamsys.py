@@ -25,8 +25,8 @@ from specflow.hamsys import (
     lk_matrix,
     symplectic_matrix,
 )
-from specflow.sfpath import extended_sf
-from specflow.symlin import SymMatrix, _shift_counts, default_zero_tol, inertia
+from specflow.sfpath import OperatorPath, extended_sf
+from specflow.symlin import _MARGIN, SymMatrix, _shift_counts, default_zero_tol, inertia
 
 
 def quadrature_hessian(coeff, N, intervals=4096):
@@ -427,7 +427,7 @@ def count_calls(monkeypatch, name):
 
 
 #: The shifts -+tol * (1 -+ eta) around both ends of the tolerance band.
-BAND_SHIFTS = np.array([-1.0 - hamsys._MARGIN, -1.0 + hamsys._MARGIN, 1.0 - hamsys._MARGIN, 1.0 + hamsys._MARGIN])
+BAND_SHIFTS = np.array([-1.0 - _MARGIN, -1.0 + _MARGIN, 1.0 - _MARGIN, 1.0 + _MARGIN])
 
 
 class TestInertiaSweep:
@@ -463,7 +463,7 @@ class TestInertiaSweep:
             form = assemble_hessian(coeff, N)
             tol = default_zero_tol(form.matrix)
             shifts = tol * BAND_SHIFTS
-            got = _shift_counts(form.matrix.entries, form.cuts, shifts, 0.5 * hamsys._MARGIN * tol)
+            got = _shift_counts(form.matrix.entries, form.cuts, shifts, 0.5 * _MARGIN * tol)
             want = np.sum(np.linalg.eigvalsh(form.matrix.entries) < shifts[:, None], axis=1)
             assert got is not None, (n, m_band, N, amp)
             assert np.array_equal(got, want), (n, m_band, N, amp)
@@ -659,6 +659,15 @@ class TestCoeffAndPathTypes:
         assert p.bandwidth == 1
         mid = p.coeff_at(0.5)
         np.testing.assert_allclose(mid.cos_terms[0], 0.5 * np.eye(2))
+
+    def test_restrict_keeps_grid_paths(self):
+        rng = np.random.default_rng(54)
+        lams = (0.0, 0.3, 0.7, 1.0)
+        path = OperatorPath.from_samples(lams, [rand_sym(rng, 4) for _ in lams], smooth=True)
+        part = hamsys._restrict(path, 0.1, 0.7)
+        assert part.is_grid and part.smooth and (part.a, part.b) == (0.1, 0.7)
+        x = np.linspace(0.1, 0.7, 13)
+        np.testing.assert_allclose(part.eigvals(x), path.eigvals(x), rtol=0.0, atol=1e-13)
 
     def test_galerkin_path_interpolates_exactly(self):
         p = HamiltonianPath(

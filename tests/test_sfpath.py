@@ -334,6 +334,14 @@ class TestMonotone:
         p = OperatorPath.from_callable(0.0, 1.0, 2, lambda l: np.eye(2))
         assert is_nondecreasing(p)
 
+    def test_short_decreasing_segment_between_grid_points(self):
+        # the middle segment has the eigenvalue -1e-4, between scan points
+        p = OperatorPath.from_samples(
+            [0.0, 0.5001, 0.5002, 1.0],
+            [np.zeros((2, 2)), 0.5001 * np.eye(2), np.diag([0.5001 - 1e-4, 0.5001]), np.eye(2)],
+        )
+        assert not is_nondecreasing(p)
+
     def test_monotone_implies_nonnegative_flow(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

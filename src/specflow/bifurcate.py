@@ -253,8 +253,10 @@ def krasnoselskii(
 
     Every eigenvalue of ``K`` inside the interval produces one crossing whose
     local flow equals its multiplicity and whose crossing form is positive
-    definite; the located crossings are verified against the spectrum of
-    ``K`` before the report is returned.
+    definite. Before the report is returned the census is matched to the
+    spectrum of ``K``: every eigenvalue inside the interval must lie in
+    exactly one crossing's bracket +- ``eps_lambda``, and each crossing's
+    ``local_sf`` and ``kernel_dim`` must equal the number it holds.
     """
     K = as_sym(K)
     c, d = float(interval[0]), float(interval[1])
@@ -269,30 +271,23 @@ def krasnoselskii(
     report = analyze_path(path, n_grid=n_grid, eps_lambda=eps_lambda)
 
     inside = eigs[(eigs > c) & (eigs < d)]
-    clusters: list[tuple[float, int]] = []
-    for e in inside:
-        if clusters and abs(e - clusters[-1][0]) <= 1e-7 * max(1.0, abs(e)):
-            center, count = clusters[-1]
-            clusters[-1] = ((center * count + e) / (count + 1), count + 1)
-        else:
-            clusters.append((float(e), 1))
-    if len(report.crossings) != len(clusters):
-        raise RuntimeError(
-            f"crossing census ({len(report.crossings)}) disagrees with the spectrum "
-            f"of K ({len(clusters)} eigenvalue clusters inside the interval)"
-        )
-    notes = list(report.notes)
-    for crossing, (center, mult) in zip(report.crossings, clusters):
-        if abs(crossing.lambda_est - center) > eps_lambda:
+    lo = np.array([cr.bracket[0] for cr in report.crossings]) - eps_lambda
+    hi = np.array([cr.bracket[1] for cr in report.crossings]) + eps_lambda
+    member = (inside[:, None] >= lo) & (inside[:, None] <= hi)
+    for e, hits in zip(inside, member.sum(axis=1)):
+        if hits != 1:
             raise RuntimeError(
-                f"crossing at {crossing.lambda_est!r} misses eigenvalue {center!r} "
-                f"beyond eps_lambda"
+                f"eigenvalue {e!r} of K lies in {hits} crossing brackets +- eps_lambda, expected 1"
             )
+    notes = list(report.notes)
+    for crossing, held in zip(report.crossings, member.T):
+        mult = int(held.sum())
         if crossing.local_sf != mult or crossing.kernel_dim != mult:
             raise RuntimeError(
-                f"crossing at {center!r}: local flow {crossing.local_sf} and kernel "
-                f"{crossing.kernel_dim} should both equal the multiplicity {mult}"
+                f"crossing at {crossing.lambda_est!r}: local flow {crossing.local_sf} and kernel "
+                f"{crossing.kernel_dim} should both equal the {mult} eigenvalue(s) of K in its bracket"
             )
+        center = float(np.mean(inside[held]))
         if crossing.regular is not None and (
             not crossing.regular or crossing.crossing_form_signature != mult
         ):

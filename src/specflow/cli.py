@@ -347,12 +347,12 @@ def _krasnoselskii_path(payload: dict) -> OperatorPath:
 
 
 def _write_trace(path: OperatorPath, n_grid: int, out_path: str) -> None:
-    grid = np.linspace(path.a, path.b, n_grid)
-    lines = ["lambda," + ",".join(f"eig_{i + 1}" for i in range(path.dim))]
-    for lam, w in zip(grid, path.eigvals(grid)):
-        lines.append(",".join(f"{v:.17g}" for v in [lam, *w]))
+    # the grid rows the crossing scan already solved
+    row = ",".join(["%.17g"] * (path.dim + 1)) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("lambda," + ",".join(f"eig_{i + 1}" for i in range(path.dim)) + "\n")
+        for lam, w in zip(np.linspace(path.a, path.b, n_grid).tolist(), path._grid_eigvals(n_grid)):
+            fh.write(row % (lam, *w.tolist()))
 
 
 def _run_sf(config: ProblemConfig, grid_override: int | None):

@@ -10,18 +10,20 @@ are singular. In finite dimensions the total equals the difference of endpoint
 Morse indices. Crossings are localized by grid scanning plus bisection and
 partition the domain into cells with clear ends (no eigenvalue near zero);
 the local flows over that partition sum to ``total_sf`` by construction.
-Many parameters are evaluated at once with :meth:`OperatorPath.eigvals`.
+Many parameters are evaluated at once with :meth:`OperatorPath.eigvals`. The
+uniform scan grid is solved once per path and shared: the crossing scan and
+the CLI's ``--trace`` CSV read the same cached eigenvalue rows.
 
 All paths are immutable after construction and every operation is pure, so
 grid evaluations may run in parallel and merge deterministically in lambda
-order.
+order; the cached scan grid is read-only and equal to a fresh solve.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,7 +88,10 @@ class OperatorPath:
     """A parametrized family of symmetric matrices over ``[a, b]``.
 
     ``smooth`` enables derivative-based operations (crossing forms via central
-    differences); grid paths are piecewise affine and may opt in.
+    differences); grid paths are piecewise affine and may opt in. The
+    eigenvalues on the uniform scan grid are solved once and shared by every
+    reader of the same ``n_grid`` (:meth:`_grid_eigvals`); only the latest
+    grid size is kept.
     """
 
     a: float
@@ -96,6 +101,7 @@ class OperatorPath:
     _lambdas: np.ndarray | None
     _matrices: tuple[np.ndarray, ...] | None
     _fn: Callable[[float], object] | None
+    _grid: tuple[int, np.ndarray | None] = field(default=(0, None), init=False, repr=False)
 
     @classmethod
     def from_samples(cls, lambdas: Sequence[float], matrices: Sequence, smooth: bool = False) -> "OperatorPath":
@@ -191,6 +197,16 @@ class OperatorPath:
         for i in range(0, lams.size, step):
             out[i : i + step] = _lapack(np.linalg.eigvalsh, self._values(lams[i : i + step]))
         return out
+
+    def _grid_eigvals(self, n_grid: int) -> np.ndarray:
+        """Read-only ``eigvals(np.linspace(a, b, n_grid))``, solved on the
+        first call for ``n_grid`` and returned as is until another grid size
+        replaces it."""
+        if self._grid[0] != n_grid:
+            w = self.eigvals(np.linspace(self.a, self.b, n_grid))
+            w.flags.writeable = False
+            object.__setattr__(self, "_grid", (n_grid, w))
+        return self._grid[1]
 
 
 def _paths_junction_match(p: OperatorPath, q: OperatorPath) -> bool:
@@ -447,7 +463,7 @@ def locate_crossings(
     a, b = path.a, path.b
     eps = 1e-8 * (b - a) if eps_lambda is None else float(eps_lambda)
     grid = np.linspace(a, b, n_grid)
-    w = path.eigvals(grid)
+    w = path._grid_eigvals(n_grid)
     tol = _family_tol(w, zero_tol)
     neg, neg0 = np.sum(w < -tol, axis=1), np.sum(w < 0.0, axis=1)
     minabs = np.min(np.abs(w), axis=1)

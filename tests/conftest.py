@@ -6,8 +6,23 @@ in closed form and can serve as an independent oracle.
 """
 
 import numpy as np
+import pytest
 
 from specflow.sfpath import OperatorPath
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Number of matrices in each numpy.linalg.eigvalsh call, in call order."""
+    solve = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a):
+        calls.append(len(a) if a.ndim == 3 else 1)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 def rand_orth(rng, d):

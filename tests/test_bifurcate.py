@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,34 @@ class TestKrasnoselskii:
             rep = krasnoselskii(k, (eigs[0] - 1.0, eigs[-1] + 1.0))
             assert rep.total_sf == d
             assert sum(c.local_sf for c in rep.crossings) == d
+
+    @pytest.mark.parametrize("gap", [3e-8, 5e-8, 9e-8])
+    def test_close_eigenvalues_are_separate_crossings(self, gap):
+        # the census separates crossings down to 2 * eps_lambda; the spectrum
+        # check must accept every split it makes
+        rep = krasnoselskii(np.diag([0.5, 0.5 + gap, 3.0]), (0.0, 1.0))
+        assert rep.total_sf == 2
+        assert [(c.local_sf, c.kernel_dim) for c in rep.crossings] == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize(
+        "alter,message",
+        [
+            (lambda c: replace(c, bracket=(c.bracket[0] + 1e-6, c.bracket[1] + 1e-6)), "lies in 0 crossing"),
+            (lambda c: replace(c, local_sf=2, kernel_dim=2), "should both equal the 1 eigenvalue"),
+        ],
+    )
+    def test_spectrum_check_can_fail(self, monkeypatch, alter, message):
+        import specflow.bifurcate as bifurcate
+
+        analyze = bifurcate.analyze_path
+
+        def altered(*args, **kwargs):
+            rep = analyze(*args, **kwargs)
+            return replace(rep, crossings=(alter(rep.crossings[0]), *rep.crossings[1:]))
+
+        monkeypatch.setattr(bifurcate, "analyze_path", altered)
+        with pytest.raises(RuntimeError, match=message):
+            krasnoselskii(np.diag([0.5, 0.7, 3.0]), (0.0, 1.0))
 
     def test_endpoint_in_spectrum_rejected(self):
         with pytest.raises(ValueError, match="spectrum"):

@@ -251,6 +251,30 @@ class TestReports:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == -1.0 and first[1] <= first[2]
 
+    def test_trace_csv_golden(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        args = ["sf", "--config", str(CONFIGS / "path_basic.json"), "--trace", str(trace)]
+        rc, _ = run_to_text(args, tmp_path)
+        assert rc == 0
+        assert trace.read_bytes() == (GOLDEN / "trace_sf_path_basic.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,config,solves",
+        [
+            ("bifurcate", "path_basic.json", 288),
+            ("sf", "path_basic.json", 284),
+            ("sf", "periodic_family.json", 2626),
+        ],
+    )
+    def test_trace_adds_no_eigen_solve(self, tmp_path, solved, command, config, solves):
+        # the trace rows are the crossing scan's grid, solved once
+        args = [command, "--config", str(CONFIGS / config)]
+        for extra in ([], ["--trace", str(tmp_path / "trace.csv")]):
+            solved.clear()
+            rc, _ = run_to_text(args + extra, tmp_path)
+            assert rc == 0
+            assert sum(solved) == solves
+
     def test_no_trace_work_without_trace(self, tmp_path, monkeypatch):
         import specflow.cli as cli
 

@@ -193,6 +193,28 @@ class ComponentMap2D:
         }
 
 
+def _lattice_array(matrices) -> np.ndarray:
+    """The lattice as one ``(ns, nt, d, d)`` float array. Bad input raises
+    what checking the nodes one by one in row-major order, then the
+    lattice's shape, meets first."""
+    try:
+        s = np.asarray(matrices, dtype=float)
+    except ValueError:  # ragged rows or nodes
+        s = None
+    good = s is not None and s.ndim == 4 and 0 < s.shape[2] == s.shape[3] and bool(np.all(np.isfinite(s)))
+    if good:
+        widths = [s.shape[1]] * s.shape[0]
+    else:  # the first bad node in row-major order raises here, as in SymMatrix
+        widths = [len([as_sym(m) for m in row]) for row in matrices]
+    if len(widths) < 2 or any(n != widths[0] for n in widths):
+        raise ValueError("expected a rectangular lattice with at least two rows")
+    if widths[0] < 2:
+        raise ValueError("expected at least two columns")
+    if not good:
+        raise ValueError("all lattice matrices must share one dimension")
+    return s
+
+
 def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float | None = None) -> ComponentMap2D:
     """Label a lattice of symmetric matrices by flow relative to a base node.
 
@@ -202,19 +224,20 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
     nodes), so the flow along any lattice path from the base node to a node
     is ``neg[base] - neg[node]``. Labels are reported only at non-singular
     nodes, against one band for the whole lattice.
-    """
-    rows = [[as_sym(m) for m in row] for row in matrices]
-    ns = len(rows)
-    if ns < 2 or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("expected a rectangular lattice with at least two rows")
-    nt = len(rows[0])
-    if nt < 2:
-        raise ValueError("expected at least two columns")
-    dim = rows[0][0].dim
-    if any(m.dim != dim for r in rows for m in r):
-        raise ValueError("all lattice matrices must share one dimension")
 
-    evals = _lapack(np.linalg.eigvalsh, np.stack([m.entries for r in rows for m in r]))
+    ``matrices`` is a real ``(ns, nt, d, d)`` array or anything that
+    ``np.asarray`` turns into one, such as nested lists, or lists of arrays,
+    of square nodes of one dimension; ``ns, nt >= 2``. All nodes are
+    symmetrized at once, bit for bit as :class:`SymMatrix` does, and solved
+    in one stacked eigen-solve. A non-square, empty or non-finite node raises
+    ``ValueError`` as ``SymMatrix`` would, the first in row-major order.
+    """
+    s = _lattice_array(matrices)
+    ns, nt, dim, _ = s.shape
+    # (s + s^T) * 0.5, the symmetrization of SymMatrix, on all nodes at once
+    sym = np.add(s, s.swapaxes(2, 3), order="C")
+    sym *= 0.5
+    evals = _lapack(np.linalg.eigvalsh, sym.reshape(ns * nt, dim, dim))
     tol = _family_tol(evals, zero_tol)
     neg = np.sum(evals < -tol, axis=1).reshape(ns, nt)
     singular = np.any(np.abs(evals) <= tol, axis=1).reshape(ns, nt)
@@ -227,9 +250,8 @@ def sweep2d(matrices: Sequence[Sequence], base: tuple[int, int], zero_tol: float
 
     # edge flows neg[u] - neg[v] telescope along any lattice path, so the
     # flow from the base node to a node is the difference of their counts
-    index = np.full((ns, nt), None, dtype=object)
-    for i, j in zip(*np.nonzero(~singular)):
-        index[i, j] = int(neg[bi, bj] - neg[i, j])
+    index = (neg[bi, bj] - neg).astype(object)
+    index[singular] = None
 
     s_coords = tuple(np.linspace(0.0, 1.0, ns))
     t_coords = tuple(np.linspace(0.0, 1.0, nt))
@@ -258,6 +280,12 @@ def krasnoselskii(
     exactly one crossing's bracket +- ``eps_lambda``, and each crossing's
     ``local_sf`` and ``kernel_dim`` must equal the number it holds.
     """
+    return _krasnoselskii_census(K, interval, n_grid, eps_lambda)[0]
+
+
+def _krasnoselskii_census(K, interval, n_grid: int, eps_lambda: float) -> tuple[BifurcationReport, OperatorPath]:
+    """:func:`krasnoselskii` and the path it scanned, whose grid eigenvalues
+    are then solved already."""
     K = as_sym(K)
     c, d = float(interval[0]), float(interval[1])
     if not d > c:
@@ -293,7 +321,7 @@ def krasnoselskii(
         ):
             raise RuntimeError(f"crossing form at {center!r} is not positive definite")
         notes.append(f"eigenvalue {center:.12g} (multiplicity {mult}) matched at {crossing.lambda_est:.12g}")
-    return BifurcationReport(
+    census = BifurcationReport(
         crossings=report.crossings,
         total_sf=report.total_sf,
         m=report.m,
@@ -301,3 +329,4 @@ def krasnoselskii(
         admissible=report.admissible,
         notes=tuple(notes),
     )
+    return census, path

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -40,7 +41,7 @@ from .hamsys import (
     hamiltonian_index,
     scan_crossings_trimmed,
 )
-from .bifurcate import analyze_path, krasnoselskii, sweep2d, trace_components
+from .bifurcate import _krasnoselskii_census, analyze_path, krasnoselskii, sweep2d, trace_components
 
 __all__ = ["ConfigError", "ProblemConfig", "parse_config", "serialize_config", "run", "main"]
 
@@ -239,6 +240,25 @@ def _parse_hamiltonian_periodic(data: dict, on_warning) -> dict:
     }
 
 
+def _lattice_rows(lattice: list) -> list | None:
+    # the rectangular lattice checked as one (ns, nt, d, d) array by the
+    # rules of _as_matrix, node by node; None if a node fails them
+    try:
+        types = {type(x) for row in lattice for node in row for r in node for x in r}
+        arr = np.array(lattice, dtype=float) if types <= {int, float} else None
+    except (TypeError, ValueError):  # a non-list node or node row; ragged nodes
+        return None
+    d = len(lattice[0][0])
+    if arr is None or arr.shape != (len(lattice), len(lattice[0]), d, d) or not np.all(np.isfinite(arr)):
+        return None
+    scale = np.maximum(1.0, np.max(np.abs(arr), axis=(2, 3)))
+    asym = np.max(np.abs(arr - arr.swapaxes(2, 3)), axis=(2, 3))
+    if np.any(asym > _SYM_TOL * scale):
+        return None
+    # an all-float lattice is its own payload: no second copy of its entries
+    return lattice if types == {float} else arr.tolist()
+
+
 def _parse_sweep2d(data: dict) -> dict:
     _require_keys(data, {"kind", "lattice", "base", "zero_tol"}, "sweep2d config")
     lattice = data.get("lattice")
@@ -247,10 +267,13 @@ def _parse_sweep2d(data: dict) -> dict:
     n_cols = len(lattice[0])
     if n_cols < 2 or any(len(r) != n_cols for r in lattice):
         raise ConfigError("lattice must be rectangular with at least two columns")
-    rows = [
-        [_as_matrix(m, f"lattice[{i}][{j}]") for j, m in enumerate(row)]
-        for i, row in enumerate(lattice)
-    ]
+    rows = _lattice_rows(lattice)
+    if rows is None:
+        # a node fails a check: walk the nodes for the first one in row-major order
+        rows = [
+            [_as_matrix(m, f"lattice[{i}][{j}]") for j, m in enumerate(row)]
+            for i, row in enumerate(lattice)
+        ]
     base = data.get("base")
     if not (isinstance(base, list) and len(base) == 2):
         raise ConfigError("base must be a pair of node indices")
@@ -341,11 +364,6 @@ def _hamiltonian_path(payload: dict) -> HamiltonianPath:
     return HamiltonianPath(lambdas=tuple(s["lambda"] for s in payload["samples"]), coeffs=tuple(coeffs))
 
 
-def _krasnoselskii_path(payload: dict) -> OperatorPath:
-    k = np.array(payload["matrix"])
-    return OperatorPath.from_samples(payload["interval"], [lam * np.eye(len(k)) - k for lam in payload["interval"]])
-
-
 def _write_trace(path: OperatorPath, n_grid: int, out_path: str) -> None:
     # the grid rows the crossing scan already solved
     row = ",".join(["%.17g"] * (path.dim + 1)) + "\n"
@@ -398,8 +416,12 @@ def _run_bifurcate(config: ProblemConfig, grid_override: int | None, trace: bool
         return results, (path, n_grid)
     if config.kind == "krasnoselskii":
         n_grid = grid_override or p["grid"]
-        report = krasnoselskii(np.array(p["matrix"]), tuple(p["interval"]), n_grid=n_grid, eps_lambda=p["eps_lambda"])
-        return report.to_dict(), (_krasnoselskii_path(p), n_grid) if trace else None
+        problem = (np.array(p["matrix"]), tuple(p["interval"]), n_grid, p["eps_lambda"])
+        if not trace:
+            return krasnoselskii(*problem).to_dict(), None
+        # trace the census's own path: its scan grid is solved already
+        report, path = _krasnoselskii_census(*problem)
+        return report.to_dict(), (path, n_grid)
     hpath = _hamiltonian_path(p)
     n_grid = grid_override or p["grid"]
     report = coefficient_bounds(hpath, n_grid=n_grid, N_cap=p["n_cap"], t_samples=p["t_samples"])
@@ -417,7 +439,10 @@ def _run_verify(payload: dict):
     return report.to_dict(), None
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import; parse_args hands every call a
+    # fresh namespace
     parser = argparse.ArgumentParser(prog=TOOL_NAME, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -434,7 +459,11 @@ def run(argv=None) -> int:
         cmd.add_argument("--seed", type=int, help="seed for the verify suite")
         cmd.add_argument("--trials", type=int, help="trial count for the verify suite")
         cmd.add_argument("--grid", type=int, help="override the scan grid size")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.perf_counter()
     try:

@@ -139,6 +139,40 @@ class TestSweep2D:
         with pytest.raises(ValueError, match="rectangular"):
             sweep2d([[np.eye(2)], [np.eye(2), np.eye(2)]], base=(0, 0))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda L: L[:1], "expected a rectangular lattice with at least two rows"),
+            (lambda L: [r[:1] for r in L], "expected at least two columns"),
+            (lambda L: L[:1] + [L[1][:2]], "expected a rectangular lattice with at least two rows"),
+            (lambda L: L[:1] + [[np.eye(3)] + L[1][1:]], "all lattice matrices must share one dimension"),
+            (lambda L: L[:1] + [[np.eye(2)[:1]] + L[1][1:]], r"expected a square matrix, got shape \(1, 2\)"),
+            (lambda L: [[np.eye(2)[:1]] * 3] * 2, r"expected a square matrix, got shape \(1, 2\)"),
+            (lambda L: [[np.zeros((0, 0))] * 3] * 2, "matrix must have positive dimension"),
+            (lambda L: L[:1] + [[np.full((2, 2), np.nan)] + L[1][1:]], "matrix entries must be finite"),
+            # node checks come first, in row-major order, then the lattice's shape
+            (lambda L: [L[0][:2] + [np.eye(3)], [np.eye(2), np.diag([1.0, np.inf])]], "must be finite"),
+            (lambda L: [L[0][:2], [np.eye(2), np.diag([1.0, np.inf]), np.eye(2)]], "must be finite"),
+        ],
+    )
+    def test_lattice_errors(self, edit, message):
+        lattice = edit([[np.eye(2)] * 3, [np.eye(2)] * 3])
+        with pytest.raises(ValueError, match=message):
+            sweep2d(lattice, base=(0, 0))
+
+    def test_lattice_input_forms(self):
+        nodes = np.stack([np.diag([s - 0.5, t + 1.0]) for s in (0.0, 1.0, 2.0) for t in (0.0, 1.0)]).reshape(3, 2, 2, 2)
+        maps = [
+            sweep2d(nodes, base=(0, 0)),
+            sweep2d(nodes.tolist(), base=(0, 0)),
+            sweep2d([list(row) for row in nodes], base=(0, 0)),
+        ]
+        for cmap in maps:
+            assert cmap.to_dict() == maps[0].to_dict()
+        assert maps[0].index.tolist() == [[0, 0], [1, 1], [1, 1]]
+        with pytest.raises(ValueError, match=r"base node \(3, 0\) outside the 3x2 lattice"):
+            sweep2d(nodes, base=(3, 0))
+
 
 class TestKrasnoselskii:
     def test_clustered_spectrum(self):

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specflow.bifurcate import sweep2d
 from specflow.cli import ConfigError, parse_config, run, serialize_config
+from specflow.symlin import SymMatrix, _family_tol
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -217,6 +222,7 @@ class TestReports:
             ("bifurcate", "krasnoselskii_cluster.json", "bifurcate_krasnoselskii.json"),
             ("sf", "periodic_family.json", "sf_periodic_family.json"),
             ("bifurcate", "periodic_family.json", "bifurcate_periodic_family.json"),
+            ("sweep", "sweep_lattice.json", "sweep_lattice.json"),
         ],
     )
     def test_golden_reports(self, tmp_path, command, config, golden):
@@ -258,12 +264,20 @@ class TestReports:
         assert rc == 0
         assert trace.read_bytes() == (GOLDEN / "trace_sf_path_basic.csv").read_bytes()
 
+    def test_krasnoselskii_trace_csv_golden(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        args = ["bifurcate", "--config", str(CONFIGS / "krasnoselskii_cluster.json"), "--trace", str(trace)]
+        rc, _ = run_to_text(args, tmp_path)
+        assert rc == 0
+        assert trace.read_bytes() == (GOLDEN / "trace_bifurcate_krasnoselskii.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "command,config,solves",
         [
             ("bifurcate", "path_basic.json", 288),
             ("sf", "path_basic.json", 284),
             ("sf", "periodic_family.json", 2626),
+            ("bifurcate", "krasnoselskii_cluster.json", 327),
         ],
     )
     def test_trace_adds_no_eigen_solve(self, tmp_path, solved, command, config, solves):
@@ -282,7 +296,8 @@ class TestReports:
             raise AssertionError("trace data built without --trace")
 
         monkeypatch.setattr(cli, "_write_trace", refuse)
-        monkeypatch.setattr(cli, "_krasnoselskii_path", refuse)
+        # the census that also hands back its path, for the trace rows
+        monkeypatch.setattr(cli, "_krasnoselskii_census", refuse)
         for command, config in (
             ("sf", "path_basic.json"),
             ("bifurcate", "path_basic.json"),
@@ -326,3 +341,155 @@ class TestReports:
         res = json.loads(text)["results"]
         assert res["case"] == "increasing" and res["bound"] == 2
         assert res["sf"] == 4 and res["sandwich_holds"]
+
+
+def identity_lattice():
+    return [[np.eye(2).tolist() for _ in range(3)] for _ in range(2)]
+
+
+class TestSweepLatticeErrors:
+    """Each bad lattice exits 2 naming its first bad node in row-major order."""
+
+    @staticmethod
+    def run_sweep(tmp_path, capsys, lattice):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"kind": "sweep2d", "lattice": lattice, "base": [0, 0]}))
+        rc = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            ([[1.0, 0.0], [0.0]], "lattice[1][1] is not square: row 1 has length 1, expected 2"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "lattice[1][1] is not square: row 0 has length 3, expected 2"),
+            ([[1.0, True], [0.0, 1.0]], "lattice[1][1][0][1] must be a number"),
+            ([[1.0, "0.0"], [0.0, 1.0]], "lattice[1][1][0][1] must be a number"),
+            ([[1.0, None], [0.0, 1.0]], "lattice[1][1][0][1] must be a number"),
+            ([[1.0, 0.0], [float("nan"), 1.0]], "lattice[1][1][1][0] must be finite"),
+            ([[1.0, 0.0], [float("inf"), 1.0]], "lattice[1][1][1][0] must be finite"),
+            ([[1.0, 1e-6], [0.0, 1.0]], "lattice[1][1] is not symmetric within 1e-9 (max deviation 1.000e-06)"),
+            (np.eye(3).tolist(), "all lattice matrices must share one dimension"),
+        ],
+        ids=["ragged", "non_square", "true", "string", "null", "nan", "infinity", "asymmetric", "mixed_dims"],
+    )
+    def test_bad_node(self, tmp_path, capsys, node, message):
+        lattice = identity_lattice()
+        lattice[1][1] = node
+        rc, err = self.run_sweep(tmp_path, capsys, lattice)
+        assert rc == 2
+        assert err == f"specflow: config error: {message}\n"
+
+    def test_first_bad_node_in_row_major_order(self, tmp_path, capsys):
+        lattice = identity_lattice()
+        lattice[1][0] = [[1.0, True], [0.0, 1.0]]
+        lattice[0][2] = [[1.0, 0.0], [0.0, float("nan")]]
+        rc, err = self.run_sweep(tmp_path, capsys, lattice)
+        assert rc == 2
+        assert err == "specflow: config error: lattice[0][2][1][1] must be finite\n"
+
+
+def random_lattice(rng, mix_ints):
+    """A lattice of symmetric nodes as parsed JSON, with ints among the floats
+    if ``mix_ints``, each node off symmetry by up to 0.5e-9 of its scale,
+    some nodes singular."""
+    ns, nt = (int(x) for x in rng.integers(2, 7, size=2))
+    d = int(rng.integers(1, 5))
+    lattice = []
+    for _ in range(ns):
+        row = []
+        for _ in range(nt):
+            if rng.random() < 0.5:
+                m = rng.integers(-3, 4, size=(d, d)).astype(float)
+                m = np.triu(m) + np.triu(m, 1).T
+            else:
+                m = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-2, 3)
+                m = (m + m.T) / 2.0
+            if d > 1 and rng.random() < 0.7:
+                scale = max(1.0, float(np.max(np.abs(m))))
+                i, j = rng.choice(d, size=2, replace=False)
+                m[i, j] += rng.uniform(-0.5e-9, 0.5e-9) * scale
+            node = m.tolist()
+            for r in node:
+                for k, x in enumerate(r):
+                    if mix_ints and x.is_integer() and rng.random() < 0.5:
+                        r[k] = int(x)
+            row.append(node)
+        lattice.append(row)
+    return lattice
+
+
+def test_lattice_parse_and_sweep_match_per_node_route(monkeypatch):
+    solve = np.linalg.eigvalsh
+    seen = []
+
+    def recording(a):
+        seen.append(np.array(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        lattice = random_lattice(rng, mix_ints=trial % 4 > 0)
+        ns, nt = len(lattice), len(lattice[0])
+        # the route of one SymMatrix per node
+        stack = np.stack([SymMatrix(np.array(m, dtype=float)).entries for row in lattice for m in row])
+        w = solve(stack)
+        zero_tol = None if trial % 3 else float(rng.uniform(0.0, 1e-3))
+        tol = _family_tol(w, zero_tol)
+        neg = np.sum(w < -tol, axis=1).reshape(ns, nt)
+        singular = np.any(np.abs(w) <= tol, axis=1).reshape(ns, nt)
+        if singular.all():
+            continue
+        bi, bj = (int(x) for x in np.argwhere(~singular)[rng.integers(0, int(np.sum(~singular)))])
+        text = json.dumps({"kind": "sweep2d", "lattice": lattice, "base": [bi, bj], "zero_tol": zero_tol})
+        payload = parse_config(text).payload
+        assert {type(x) for row in payload["lattice"] for m in row for r in m for x in r} == {float}
+        seen.clear()
+        cmap = sweep2d(payload["lattice"], base=tuple(payload["base"]), zero_tol=payload["zero_tol"])
+        assert len(seen) == 1
+        assert seen[0].dtype == stack.dtype and seen[0].shape == stack.shape
+        assert seen[0].tobytes() == stack.tobytes()
+        np.testing.assert_array_equal(cmap.singular_mask, singular)
+        want = [[None if singular[i, j] else int(neg[bi, bj] - neg[i, j]) for j in range(nt)] for i in range(ns)]
+        assert cmap.index.tolist() == want
+
+
+class TestParserReuse:
+    def test_grid_override_does_not_stick(self, tmp_path):
+        config = str(CONFIGS / "path_basic.json")
+        rc, text = run_to_text(["sf", "--config", config, "--grid", "64"], tmp_path, "a.json")
+        assert rc == 0 and json.loads(text)["results"]["grid_points_used"] == 64
+        rc, text = run_to_text(["sf", "--config", config], tmp_path, "b.json")
+        assert rc == 0
+        assert normalize(text) == normalize((GOLDEN / "sf_path_basic.json").read_text())
+
+    def test_verify_seed_does_not_stick(self, tmp_path):
+        rc, text = run_to_text(["verify", "--seed", "3", "--trials", "2"], tmp_path, "a.json")
+        assert rc == 0 and json.loads(text)["results"]["seed"] == 3
+        rc, text = run_to_text(["verify", "--trials", "2"], tmp_path, "b.json")
+        assert rc == 0 and json.loads(text)["results"]["seed"] == 0
+
+    def test_usage_exits(self, capsys):
+        for argv, code in ((["bogus"], 2), (["--help"], 0), (["sf", "--help"], 0), (["bogus"], 2)):
+            with pytest.raises(SystemExit) as stop:
+                run(argv)
+            assert stop.value.code == code
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import specflow.cli\n"
+            "assert not built, built\n"
+            "specflow.cli.run(['verify', '--trials', '1', '--out', __import__('os').devnull])\n"
+            "assert built, 'the probe saw no parser built'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

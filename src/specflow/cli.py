@@ -85,9 +85,11 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
 def _number_problem(value) -> str | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return "must be a number"
-    if not math.isfinite(value):
-        return "must be finite"
-    return None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else "must be finite"
 
 
 def _as_number(value, where: str) -> float:
@@ -123,8 +125,11 @@ def _as_matrix(value, where: str, even_dim: bool = False) -> list[list[float]]:
         raise ConfigError(f"{where} must be a non-empty nested array")
     d = len(value)
     plain = all(len(row) == d for row in value) and {type(x) for row in value for x in row} <= {int, float}
-    arr = np.array(value, dtype=float) if plain else None
-    if not plain or not np.all(np.isfinite(arr)):
+    try:
+        arr = np.array(value, dtype=float) if plain else None
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
         problem = _matrix_problem(value, where)
         if problem:
             raise ConfigError(problem)
@@ -246,7 +251,7 @@ def _lattice_rows(lattice: list) -> list | None:
     try:
         types = {type(x) for row in lattice for node in row for r in node for x in r}
         arr = np.array(lattice, dtype=float) if types <= {int, float} else None
-    except (TypeError, ValueError):  # a non-list node or node row; ragged nodes
+    except (TypeError, ValueError, OverflowError):  # a non-list node or node row; ragged nodes; huge integers
         return None
     d = len(lattice[0][0])
     if arr is None or arr.shape != (len(lattice), len(lattice[0]), d, d) or not np.all(np.isfinite(arr)):

@@ -7,12 +7,22 @@ eigenvalues moving from negative to positive minus the reverse, with endpoint
 kernels pushed to the positive side (equivalent to translating the path by
 ``+delta * Id`` for a small ``delta``), so it is defined even when endpoints
 are singular. In finite dimensions the total equals the difference of endpoint
-Morse indices. Crossings are localized by grid scanning plus bisection and
-partition the domain into cells with clear ends (no eigenvalue near zero);
-the local flows over that partition sum to ``total_sf`` by construction.
-Many parameters are evaluated at once with :meth:`OperatorPath.eigvals`. The
-uniform scan grid is solved once per path and shared: the crossing scan and
-the CLI's ``--trace`` CSV read the same cached eigenvalue rows.
+Morse indices.
+
+Crossings of a grid path come from one pencil solve per affine segment:
+on ``S(t) = S_c + (t - c) B`` the singular parameters are ``t = c - 1/mu``
+for the real eigenvalues ``mu`` of ``S_c^-1 B``. Real counts certify them,
+and the scan-grid bisection is replayed from them, so a crossing with flow
+is reported exactly as the scan reports it; a path the pencil cannot
+resolve falls back to the scan. Paths given by an evaluation rule are
+scanned: a uniform grid is solved, and its sign changes are bisected and
+its dips searched. Either way the crossings partition the domain into
+cells with clear ends (no eigenvalue near zero), counted by real solves, so
+the local flows over that partition sum to ``total_sf`` by construction
+(:func:`locate_crossings`). Many parameters are evaluated at once with
+:meth:`OperatorPath.eigvals`. The uniform scan grid is solved at most once
+per path and cached: the scan and the CLI's ``--trace`` CSV read the same
+eigenvalue rows.
 
 All paths are immutable after construction and every operation is pure, so
 grid evaluations may run in parallel and merge deterministically in lambda
@@ -24,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,10 +255,18 @@ def reverse(p: OperatorPath) -> OperatorPath:
 
 
 def direct_sum(p: OperatorPath, q: OperatorPath) -> OperatorPath:
-    """Block-diagonal sum of two paths over the same domain."""
+    """Block-diagonal sum of two paths over the same domain. Two grid paths
+    sum to a grid path on the union of their sample parameters, which is
+    exact: both parts are affine between any two neighbouring ones."""
     if abs(p.a - q.a) > _JUNCTION_TOL * max(1.0, abs(p.a)) or abs(p.b - q.b) > _JUNCTION_TOL * max(1.0, abs(p.b)):
         raise ValueError("domain mismatch in direct sum")
     dp, dq = p.dim, q.dim
+    if p.is_grid and q.is_grid:
+        lams = np.union1d(p._lambdas, q._lambdas[(q._lambdas > p.a) & (q._lambdas < p.b)])
+        mats = np.zeros((lams.size, dp + dq, dp + dq))
+        mats[:, :dp, :dp] = p._values(lams)
+        mats[:, dp:, dp:] = q._values(np.clip(lams, q.a, q.b))
+        return OperatorPath.from_samples(lams, mats, smooth=p.smooth and q.smooth)
 
     def fn(lam: float):
         out = np.zeros((dp + dq, dp + dq))
@@ -380,12 +399,17 @@ def _golden_min(path: OperatorPath, lo, hi, eps: float) -> tuple[np.ndarray, np.
     return xs[best], fs[best]
 
 
-def _bisect(path: OperatorPath, lo, hi, nlo, nhi, eps: float) -> list[tuple]:
+def _neg_counts(path: OperatorPath, lams) -> np.ndarray:
+    # the number of eigenvalues below 0 at each parameter, from real solves
+    return np.sum(path.eigvals(lams) < 0.0, axis=1)
+
+
+def _bisect(count: Callable, lo, hi, nlo, nhi, eps: float) -> list[tuple]:
     # refine every change of the strict negative count over the cells
-    # [lo, hi], all open cells in one solve per round; the count of
-    # eigenvalues below 0 flips exactly at eigenvalue zeros, so brackets are
-    # not biased by the tolerance band. Halves whose counts agree are dropped
-    # (their net flow is zero at this resolution).
+    # [lo, hi], all open cells in one call of count(midpoints) per round; the
+    # count of eigenvalues below 0 flips exactly at eigenvalue zeros, so
+    # brackets are not biased by the tolerance band. Halves whose counts
+    # agree are dropped (their net flow is zero at this resolution).
     events = []
     for depth in range(REFINE_CAP + 1):
         keep = nlo != nhi
@@ -396,7 +420,7 @@ def _bisect(path: OperatorPath, lo, hi, nlo, nhi, eps: float) -> list[tuple]:
         lo, hi, nlo, nhi, mid = lo[~done], hi[~done], nlo[~done], nhi[~done], mid[~done]
         if not lo.size:
             break
-        nmid = np.sum(path.eigvals(mid) < 0.0, axis=1)
+        nmid = count(mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
     return events
@@ -436,33 +460,241 @@ def locate_crossings(
 ) -> tuple[Crossing, ...]:
     """Locate and refine the singular parameters of a path.
 
-    Scans a uniform grid of ``n_grid`` points and chases three kinds of
-    events: cells whose negative eigenvalue count changes (bisection),
-    singular samples, and dips of the smallest absolute eigenvalue that may
-    touch zero between samples (golden-section; rejected dips are re-scanned
-    at 16x resolution for cancelling pairs). Events within ``2 * eps_lambda``
+    Events come from one of two detectors; events within ``2 * eps_lambda``
     of each other form one crossing.
 
-    The crossings partition the domain, ``a = p0 < p1 < ... < pk = b``: each
-    bracket gets a cell whose ends are clear points, walked out from the
-    bracket until no eigenvalue is near zero. A crossing's ``local_sf`` is
-    ``neg(p_i) - neg(p_(i+1))`` over its cell, and every cell between
-    crossings must show no change of ``neg``; one that does is bisected for
-    the missed crossing and the partition is rebuilt. So the local flows sum
-    to the extended flow ``total_sf`` by construction; a census that does not
-    close within ``REFINE_CAP`` rounds raises ``RuntimeError``.
-    ``kernel_dim`` counts the eigenvalues at the estimate that lie within
-    the drift over the bracket +- eps_lambda (or within the band, when that
-    is wider), and is at least ``|local_sf|``.
+    *Pencil (grid paths).* On the segment ``S(t) = S_c + (t - c) B`` between
+    two samples the singular parameters are exactly ``t = c - 1/mu`` for the
+    real eigenvalues ``mu`` of ``S_c^-1 B``: one solve per segment, by
+    ``eigvalsh`` of ``S_c`` reduced by the eigenvectors of ``B`` when
+    ``+-B`` is positive definite, and otherwise by ``eigvals`` at a clear
+    point ``c`` with a kernel vector per root from one step of inverse
+    iteration. A root moves the count of negative eigenvalues by the sign
+    of its crossing form ``v^T B v`` (the signature of that form on the
+    span of roots closer than ``2 * eps_lambda``; a near-real complex pair
+    counts as two roots at its real part). The roots are not trusted alone.
+    Every cell of the ``n_grid``-point scan grid that holds one gets real
+    counts at its ends; a cell whose counts change is bisected exactly as
+    the scan bisects it, reading each midpoint's count from the roots' step
+    function, or from a real solve where a midpoint lies within a root's
+    error bound or the step function disagrees with the cell's end counts.
+    A cluster of roots with zero flow, or another complex pair on the
+    segment (a possible touch), gives an event at its estimate only when a
+    real solve there shows an eigenvalue in the drift band. A cluster with nonzero flow in a cell whose end counts agree (a
+    close pair) is met as the scan meets it, by the scan's dip test on the
+    four grid points around the cell. The path is scanned instead when a
+    segment has no clear point, a root is not resolved within a quarter of
+    a grid cell, a cell holding a root has an end within ``_CLEAR_FACTOR *
+    tol`` of zero, or a dip-test point is singular. The scan grid is never
+    solved on this route; its band is the widest band at the grid points
+    next to the samples, where ``||S(t)||_F``, convex on each segment, peaks.
+
+    *Scan (rule paths, and the fallback).* Scans a uniform grid of
+    ``n_grid`` points and chases three kinds of events: cells whose negative
+    eigenvalue count changes (bisection), singular samples, and dips of the
+    smallest absolute eigenvalue that may touch zero between samples
+    (golden-section; rejected dips are re-scanned at 16x resolution for
+    cancelling pairs).
+
+    Either way the crossings partition the domain, ``a = p0 < p1 < ... < pk
+    = b``: each bracket gets a cell whose ends are clear points, walked out
+    from the bracket until no eigenvalue is near zero. A crossing's
+    ``local_sf`` is ``neg(p_i) - neg(p_(i+1))`` over its cell, from real
+    solves, and every cell between crossings must show no change of
+    ``neg``; one that does is bisected with real solves for the missed
+    crossing and the partition is rebuilt. So the local flows sum to the
+    extended flow ``total_sf`` by construction, whichever detector ran; a
+    census that does not close within ``REFINE_CAP`` rounds raises
+    ``RuntimeError``. ``kernel_dim`` counts the eigenvalues at the estimate
+    that lie within the drift over the bracket +- eps_lambda (or within the
+    band, when that is wider), and is at least ``|local_sf|``.
 
     Raises :class:`EndpointCrossingError` when a singularity is detected
     within ``eps_lambda`` of either endpoint.
     """
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
+    eps = 1e-8 * (path.b - path.a) if eps_lambda is None else float(eps_lambda)
+    grid = np.linspace(path.a, path.b, n_grid)
+    found = _pencil_events(path, grid, zero_tol, eps) if path.is_grid else None
+    tol, events = _scan_events(path, grid, zero_tol, eps) if found is None else found
+    return _census(path, events, tol, eps)
+
+
+#: Safety factor on the first-order error bound of a pencil root.
+_PENCIL_SAFETY = 32.0
+
+
+def _segment_roots(path: OperatorPath, k: int, B: np.ndarray, scale: float, tol: float, eps: float):
+    # The pencil solve of segment k with slope B: real roots t, their flows
+    # and error bounds, and the real parts of the complex roots that may be
+    # touches; None when no clear point is found. A root's error is at most
+    # ``scale`` (32 d u max ||S||_F over the segment) over its crossing
+    # slope, times cond(S_c) on the eigvals route: that bounds both the
+    # solve's error and how close to the root a real count stops being exact.
+    lo, hi = path._lambdas[k], path._lambdas[k + 1]
+    for side in (1.0, -1.0):
+        try:  # a cheap test first: most slopes of matrix paths are indefinite
+            np.linalg.cholesky(side * B)
+        except np.linalg.LinAlgError:
+            continue
+        wb, u = _lapack(np.linalg.eigh, side * B)
+        if wb[0] > 1e-6 * wb[-1]:
+            # side B = U W U^T: with R = U W^(-1/2), R^T S(t) R = M + side (t -
+            # c) Id for M = R^T S_c R, so every curve moves with the sign of
+            # B, at a slope of at least wb[0]
+            c = 0.5 * (lo + hi)
+            r = u / np.sqrt(wb)
+            t = c - side * _lapack(np.linalg.eigvalsh, as_sym(r.T @ path._values([c])[0] @ r).entries)
+            return t, np.full(t.size, side), np.full(t.size, scale / wb[0]), np.empty(0)
+    for frac in (0.5, 0.25, 0.75, 0.125, 0.875):
+        c = lo + frac * (hi - lo)
+        sc = path._values([c])[0]
+        wc = np.abs(_lapack(np.linalg.eigvalsh, sc))
+        if wc.min() > _CLEAR_FACTOR * tol:
+            break
+    else:
+        return None
+    scale *= wc.max() / wc.min()
+    span, rng = hi - lo, np.random.default_rng(0)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tc = c - 1.0 / np.linalg.eigvals(np.linalg.solve(sc, B))
+        # the real roots on the segment, and near-real complex pairs, which
+        # may be perturbed real pairs, as two roots at their real part; the
+        # other complex pairs on it may be touches
+        width = np.abs(tc.imag)
+        on = (tc.imag >= 0.0) & (tc.real >= lo - 1e-6 * span) & (tc.real <= hi + 1e-6 * span) & (width <= span)
+        real, pair = on & (width == 0.0), on & (width > 0.0) & (width <= 1e-4 * span)
+        t = np.concatenate([tc.real[real], tc.real[pair], tc.real[pair]])
+        # a kernel vector at each root by one step of inverse iteration from
+        # its own random start, a hair beside the root, where S is not
+        # exactly singular: the roots of a multiple root span its kernel
+        starts = rng.normal(size=(t.size, path.dim))
+        vr = np.reshape([np.linalg.solve(sc + (x + 1e-9 * span - c) * B, y) for x, y in zip(t, starts)], starts.shape).T
+    except np.linalg.LinAlgError:
+        return None
+    form = np.einsum("ij,ij->j", vr, B @ vr) / np.einsum("ij,ij->j", vr, vr)
+    with np.errstate(divide="ignore"):
+        err = scale / np.abs(form) + 2.0 * np.concatenate([np.zeros(int(real.sum())), width[pair], width[pair]])
+    flow = np.sign(form)
+    # roots closer than 2 eps share their flow: the signature of the crossing
+    # form on their span
+    order, top = np.argsort(t), np.linalg.norm(B)
+    for idx in np.split(order, np.flatnonzero(np.diff(t[order]) > 2 * eps) + 1):
+        if idx.size > 1:
+            q = vr[:, idx] / np.linalg.norm(vr[:, idx], axis=0)
+            g = _lapack(np.linalg.eigvalsh, as_sym(q.T @ B @ q).entries)
+            up, down = int(np.sum(g > 1e-10 * top)), int(np.sum(g < -1e-10 * top))
+            flow[idx] = [1.0] * up + [-1.0] * down + [0.0] * (idx.size - up - down)
+    return t, flow, err, tc.real[on & ~real & ~pair]
+
+
+def _pencil_roots(path: OperatorPath, tol: float, eps: float):
+    # the roots of all segments of a grid path as arrays (t, flow, err,
+    # touches), or None when a segment has no clear point
+    lams, mats = path._lambdas, path._matrices
+    scale = [_PENCIL_SAFETY * path.dim * np.finfo(float).eps * np.linalg.norm(m) for m in mats]
+    parts = []
+    for k in range(lams.size - 1):
+        B = (mats[k + 1] - mats[k]) / (lams[k + 1] - lams[k])
+        part = _segment_roots(path, k, B, max(scale[k], scale[k + 1]), tol, eps)
+        if part is None:
+            return None
+        t, flow, err, touch = part
+        # a root at an interior sample is seen from both of its segments,
+        # each with its one-sided flow: each counts half
+        lo, hi = lams[k], lams[k + 1]
+        keep = (t >= lo - err) & (t <= hi + err)
+        half = ((k > 0) & (t - lo <= err)) | ((k < lams.size - 2) & (hi - t <= err))
+        parts.append((t[keep], np.where(half, 0.5, 1.0)[keep] * flow[keep], err[keep], touch))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _pencil_events(path: OperatorPath, grid: np.ndarray, zero_tol: float | None, eps: float):
+    # (tol, events) of a grid path from its pencil roots, or None when the
+    # path is to be scanned (see locate_crossings)
     a, b = path.a, path.b
-    eps = 1e-8 * (b - a) if eps_lambda is None else float(eps_lambda)
-    grid = np.linspace(a, b, n_grid)
+    # the band of the scan grid without solving it: ||S(t)||_F is convex on
+    # each segment, so on the grid it peaks at a grid point next to a sample
+    lams = path._lambdas
+    near = np.concatenate([np.searchsorted(grid, lams), np.searchsorted(grid, lams, "right") - 1])
+    near = grid[np.unique(np.clip(near, 0, grid.size - 1))]
+    tol = max(float(default_zero_tol(path._values([x])[0], zero_tol)) for x in near)
+    if np.min(np.abs(path.eigvals([a, b]))) <= tol:
+        raise EndpointCrossingError(f"singular endpoint matrix on [{a:.12g}, {b:.12g}]")
+    roots = _pencil_roots(path, tol, eps)
+    if roots is None:
+        return None
+    t, flow, err, touch = roots
+    keep = (t > a) & (t < b)
+    order = np.argsort(t[keep])
+    t, flow, err = t[keep][order], flow[keep][order], err[keep][order]
+    if not np.all(err <= 0.25 * (grid[1] - grid[0])):
+        return None
+    # clusters of roots within 2 eps, each with its flow and its zone, the
+    # span of its roots widened by their error
+    cid = np.cumsum(np.diff(t, prepend=t[:1]) > 2 * eps)
+    first = np.flatnonzero(np.diff(cid, prepend=-1))
+    last = np.append(first[1:], t.size)[: first.size] - 1
+    cflow = np.bincount(cid, flow, first.size)
+    cerr = np.zeros(first.size)
+    np.maximum.at(cerr, cid, err)
+    zlo, zhi = t[first] - cerr, t[last] + cerr
+    # the scan cells holding roots, with real counts at their ends
+    cell = np.clip(np.searchsorted(grid, t, "right") - 1, 0, grid.size - 2)
+    cells = np.unique(cell)
+    ends = np.unique(np.concatenate([cells, cells + 1]))
+    w = path.eigvals(grid[ends])
+    if ends.size and np.min(np.abs(w)) <= _CLEAR_FACTOR * tol:
+        return None
+    base = np.zeros(grid.size, dtype=int)
+    base[ends] = np.sum(w < 0.0, axis=1)
+    nlo, nhi = base[cells], base[cells + 1]
+    below = np.concatenate([[0.0], np.cumsum(flow)])  # flow of the roots below a parameter
+
+    def step(x):
+        # counts read off the roots, real ones in a zone or off the integers
+        i = np.searchsorted(grid, x, "right") - 1
+        n = base[i] - (below[np.searchsorted(t, x)] - below[np.searchsorted(t, grid[i])])
+        real = np.any((x[:, None] >= zlo) & (x[:, None] <= zhi), axis=1) | (n != np.rint(n))
+        n = np.rint(n).astype(int)
+        if np.any(real):
+            n[real] = _neg_counts(path, x[real])
+        return n
+
+    flat = nlo == nhi
+    # a cluster with nonzero flow in a cell whose end counts agree is reached
+    # by the scan only through a dip next to the cell: the dip test runs on
+    # the four grid points around each such cell, as the scan runs it
+    hidden = np.unique(cell[flat[np.searchsorted(cells, cell)] & (cflow[cid] != 0)])
+    win = np.clip(hidden[:, None] + np.arange(-1, 3), 0, grid.size - 1)
+    around = path.eigvals(grid[win.ravel()]).reshape(win.shape + (path.dim,))
+    if win.size and np.min(np.abs(around)) <= tol:
+        return None
+    dips = _dips(np.sum(around < -tol, axis=2), np.min(np.abs(around), axis=2))
+    centers = win[:, 1:3][dips & (win[:, 1:3] > 0) & (win[:, 1:3] < grid.size - 1)]
+    events = _dip_events(path, grid, np.unique(centers), tol, eps)
+    # cells whose end counts the step function reproduces are replayed with
+    # it, the others bisected by real solves
+    fits = nlo - (below[np.searchsorted(t, grid[cells + 1])] - below[np.searchsorted(t, grid[cells])]) == nhi
+    for count, sel in ((step, ~flat & fits), (partial(_neg_counts, path), ~flat & ~fits)):
+        events += _bisect(count, grid[cells[sel]], grid[cells[sel] + 1], nlo[sel], nhi[sel], eps)
+    # zero-flow clusters and touches: kept where an eigenvalue is in the
+    # drift band at the estimate
+    mean = np.bincount(cid, t, first.size) / np.bincount(cid, minlength=first.size)
+    est = np.concatenate([mean[cflow == 0], touch])
+    est = est[(est > a) & (est < b)]
+    for x, w_x in zip(est, path.eigvals(est)):
+        lo, hi = max(x - eps / 2, a), min(x + eps / 2, b)
+        if _zero_count(w_x, _kernel_tol(path, x, (lo, hi), eps, tol)):
+            events.append((lo, hi, x, eps / 2))
+    return tol, events
+
+
+def _scan_events(path: OperatorPath, grid: np.ndarray, zero_tol: float | None, eps: float):
+    # (tol, events) of a path from its solved scan grid (see locate_crossings)
+    a, b, n_grid = path.a, path.b, grid.size
     w = path._grid_eigvals(n_grid)
     tol = _family_tol(w, zero_tol)
     neg, neg0 = np.sum(w < -tol, axis=1), np.sum(w < 0.0, axis=1)
@@ -481,32 +713,48 @@ def locate_crossings(
     # events are (lo, hi, estimate, accuracy of the estimate); non-isolated
     # singular runs keep their full extent
     events = [(grid[i], grid[j], 0.5 * (grid[i] + grid[j]), 0.5 * (grid[j] - grid[i])) for i, j in runs if i < j]
-    isolated = [i for i, j in runs if i == j]
-    # dips of the smallest |eigenvalue| that may touch zero between samples
-    dips = 1 + np.flatnonzero(
-        ~(singular[:-2] | singular[1:-1] | singular[2:])
-        & (neg[:-2] == neg[1:-1])
-        & (neg[1:-1] == neg[2:])
-        & (minabs[1:-1] <= np.minimum(minabs[:-2], minabs[2:]))
-        & (minabs[1:-1] <= 0.6 * np.maximum(minabs[:-2], minabs[2:]))
-    )
-    centers = np.array(isolated + list(dips), dtype=int)
-    x0, f0 = _golden_min(path, grid[np.maximum(centers - 1, 0)], grid[np.minimum(centers + 1, n_grid - 1)], eps)
+    isolated = np.array([i for i, j in runs if i == j], dtype=int)
+    x0, f0 = _golden_min(path, grid[np.maximum(isolated - 1, 0)], grid[np.minimum(isolated + 1, n_grid - 1)], eps)
     for i, x, f in zip(isolated, x0, f0):
         est = x if f <= minabs[i] else grid[i]
         events.append((max(est - eps / 2, a), min(est + eps / 2, b), est, eps / 2))
+    dips = 1 + np.flatnonzero(_dips(neg, minabs) & ~(singular[:-2] | singular[1:-1] | singular[2:]))
     sign = np.flatnonzero(neg[:-1] != neg[1:])
-    cells = [(grid[sign], grid[sign + 1], neg0[sign], neg0[sign + 1])]
-    for j, x, f in zip(dips, x0[len(isolated):], f0[len(isolated):]):
-        if f <= tol:
-            events.append((max(x - eps / 2, a), min(x + eps / 2, b), x, eps / 2))
-        else:
-            # a rejected dip may hide a cancelling pair: re-scan finer
-            sub = np.linspace(grid[j - 1], grid[j + 1], 33)
-            sneg = np.sum(path.eigvals(sub) < 0.0, axis=1)
-            cells.append((sub[:-1], sub[1:], sneg[:-1], sneg[1:]))
-    events += _bisect(path, *map(np.concatenate, zip(*cells)), eps)
+    events += _dip_events(path, grid, dips, tol, eps)
+    events += _bisect(partial(_neg_counts, path), grid[sign], grid[sign + 1], neg0[sign], neg0[sign + 1], eps)
+    return tol, events
 
+
+def _dips(neg: np.ndarray, minabs: np.ndarray) -> np.ndarray:
+    # whether the smallest |eigenvalue| at each inner point of the last axis
+    # dips low enough between its neighbours, with no count change, to touch
+    # zero between samples
+    return (
+        (neg[..., :-2] == neg[..., 1:-1])
+        & (neg[..., 1:-1] == neg[..., 2:])
+        & (minabs[..., 1:-1] <= np.minimum(minabs[..., :-2], minabs[..., 2:]))
+        & (minabs[..., 1:-1] <= 0.6 * np.maximum(minabs[..., :-2], minabs[..., 2:]))
+    )
+
+
+def _dip_events(path: OperatorPath, grid: np.ndarray, centers: np.ndarray, tol: float, eps: float):
+    # golden-section search of the smallest |eigenvalue| on [grid[j - 1],
+    # grid[j + 1]] for each dip center j: an event where it reaches the
+    # band; elsewhere a cancelling pair may hide, so the interval is
+    # re-scanned 16x finer and bisected
+    a, b = path.a, path.b
+    x0, f0 = _golden_min(path, grid[centers - 1], grid[centers + 1], eps)
+    events = [(max(x - eps / 2, a), min(x + eps / 2, b), x, eps / 2) for x in x0[f0 <= tol]]
+    sub = np.linspace(grid[centers - 1][f0 > tol], grid[centers + 1][f0 > tol], 33, axis=1)
+    sneg = _neg_counts(path, sub.ravel()).reshape(sub.shape)
+    cells = (sub[:, :-1], sub[:, 1:], sneg[:, :-1], sneg[:, 1:])
+    return events + _bisect(partial(_neg_counts, path), *(x.ravel() for x in cells), eps)
+
+
+def _census(path: OperatorPath, events: list[tuple], tol: float, eps: float) -> tuple[Crossing, ...]:
+    # group the events, close the partition with real counts, and build the
+    # crossings (see locate_crossings)
+    a, b = path.a, path.b
     for _ in range(REFINE_CAP):
         events.sort(key=lambda e: e[:2])
         groups: list[list[tuple]] = []
@@ -526,11 +774,13 @@ def locate_crossings(
         # partition a, left_0, right_0, left_1, ..., b: crossing cells at odd
         # positions, the cells between crossings at even ones
         pts = np.concatenate([[a], np.column_stack([left, right]).ravel(), [b]])
-        npts = np.sum(path.eigvals(pts) < 0.0, axis=1)
+        npts = _neg_counts(path, pts)
         gaps = np.flatnonzero(npts[0::2] != npts[1::2])
         if not gaps.size:
             break
-        events += _bisect(path, pts[2 * gaps], pts[2 * gaps + 1], npts[2 * gaps], npts[2 * gaps + 1], eps)
+        events += _bisect(
+            partial(_neg_counts, path), pts[2 * gaps], pts[2 * gaps + 1], npts[2 * gaps], npts[2 * gaps + 1], eps
+        )
     else:
         raise RuntimeError(f"crossing census did not close within {REFINE_CAP} refinement rounds")
 

@@ -152,6 +152,43 @@ class TestExitCodes:
             assert run([command, "--config", str(cfg)]) == 2
             assert "zero_tol must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,config,entry",
+        [
+            (
+                "sf",
+                {"kind": "matrix_path", "samples": [
+                    {"lambda": 0.0, "matrix": [[-1.0, 0.0], [0.0, 10**400]]},
+                    {"lambda": 1.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                ]},
+                "samples[0].matrix[1][1] must be finite",
+            ),
+            (
+                "sf",
+                {"kind": "hamiltonian_periodic", "samples": [
+                    {"lambda": 0.0, "a0": [[0.5, 0.0], [0.0, 0.5]], "cos": [], "sin": []},
+                    {"lambda": 1.0, "a0": [[1.5, 0.0], [0.0, 1.5]], "cos": [[[10**400, 0], [0, 0]]], "sin": []},
+                ]},
+                "samples[1].cos[0][0][0] must be finite",
+            ),
+            (
+                "sweep",
+                {"kind": "sweep2d", "base": [0, 0], "lattice": [
+                    [[[1.0]], [[2.0]]],
+                    [[[3.0]], [[-(10**400)]]],
+                ]},
+                "lattice[1][1][0][0] must be finite",
+            ),
+        ],
+    )
+    def test_integer_beyond_float_range_is_2(self, tmp_path, capsys, command, config, entry):
+        # json writes the integer literal out in full: 1 followed by 400 zeros
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert "0" * 400 in cfg.read_text()
+        assert run([command, "--config", str(cfg)]) == 2
+        assert f"config error: {entry}" in capsys.readouterr().err
+
     def test_nonstabilization_is_3(self, tmp_path, capsys):
         text = json.dumps(
             {
@@ -274,20 +311,26 @@ class TestReports:
     @pytest.mark.parametrize(
         "command,config,solves",
         [
-            ("bifurcate", "path_basic.json", 288),
-            ("sf", "path_basic.json", 284),
-            ("sf", "periodic_family.json", 2626),
-            ("bifurcate", "krasnoselskii_cluster.json", 327),
+            ("bifurcate", "path_basic.json", 20),
+            ("sf", "path_basic.json", 16),
+            # 2048 of these solve the 2x2 coefficients at 1024 times per
+            # sample for the starting truncation; the census solves 37
+            ("sf", "periodic_family.json", 2085),
+            ("bifurcate", "periodic_family.json", 4133),
+            ("bifurcate", "krasnoselskii_cluster.json", 38),
         ],
     )
-    def test_trace_adds_no_eigen_solve(self, tmp_path, solved, command, config, solves):
-        # the trace rows are the crossing scan's grid, solved once
+    def test_trace_adds_the_grid_solves(self, tmp_path, solved, command, config, solves):
+        # the census solves no scan grid (the counts are eigvalsh matrices;
+        # each segment's pencil solve, by eigh or eigvals, comes on top);
+        # --trace solves its 256 rows once, where it applies
         args = [command, "--config", str(CONFIGS / config)]
-        for extra in ([], ["--trace", str(tmp_path / "trace.csv")]):
+        traced = 0 if (command, config) == ("bifurcate", "periodic_family.json") else 256
+        for extra, added in (([], 0), (["--trace", str(tmp_path / "trace.csv")], traced)):
             solved.clear()
             rc, _ = run_to_text(args + extra, tmp_path)
             assert rc == 0
-            assert sum(solved) == solves
+            assert sum(solved) == solves + added
 
     def test_no_trace_work_without_trace(self, tmp_path, monkeypatch):
         import specflow.cli as cli

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_diag_path, rand_orth
+from specflow import sfpath
 from specflow.sfpath import (
     EndpointCrossingError,
     OperatorPath,
@@ -251,6 +252,133 @@ class TestCensusAdditivity:
             checked += 1
 
 
+def rule_copy(path):
+    """The same matrices as ``path``, behind an evaluation rule: its census
+    takes the scan, the grid path's the pencil."""
+    return OperatorPath.from_callable(path.a, path.b, path.dim, path)
+
+
+def random_family(count=150):
+    rng = np.random.default_rng(1)
+    for _ in range(count):
+        d, s = int(rng.integers(2, 16)), int(rng.integers(2, 7))
+        lams = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, s - 2)), [1.0]])
+        yield OperatorPath.from_samples(lams, [rand_sym(rng, d) for _ in lams])
+
+
+def close_pairs(count=10):
+    rng = np.random.default_rng(1)
+    grid = np.linspace(0.0, 1.0, 256)
+    while count:
+        path, (down, up) = close_pair_path(rng)
+        if not np.any((grid > down) & (grid < up)):
+            count -= 1
+            yield path, (down, up)
+
+
+class TestPencilCensus:
+    """Grid paths take the pencil route, rule paths the scan; both must give
+    the same census."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # how many grid paths took the pencil route and how many the scan
+        taken = {"pencil": 0, "scan": 0}
+        pencil = sfpath._pencil_events
+
+        def counted(*args):
+            out = pencil(*args)
+            taken["scan" if out is None else "pencil"] += 1
+            return out
+
+        monkeypatch.setattr(sfpath, "_pencil_events", counted)
+        return taken
+
+    @staticmethod
+    def assert_same_census(path, n_grid=256):
+        got, want = locate_crossings(path, n_grid=n_grid), locate_crossings(rule_copy(path), n_grid=n_grid)
+        # crossings with flow: byte for byte; zero-flow ones: same integers,
+        # estimates within eps_lambda
+        assert [c.to_dict() for c in got if c.local_sf] == [c.to_dict() for c in want if c.local_sf]
+        zero = lambda cr: [(c.local_sf, c.kernel_dim) for c in cr if not c.local_sf]
+        assert zero(got) == zero(want)
+        est = lambda cr: np.array([c.lambda_est for c in cr if not c.local_sf])
+        assert np.all(np.abs(est(got) - est(want)) <= 1e-8 * (path.b - path.a))
+
+    def test_same_census_as_scan_random(self, routes):
+        for p in random_family():
+            self.assert_same_census(p)
+        assert routes == {"pencil": 150, "scan": 0}
+
+    def test_same_census_as_scan_close_pairs(self, routes):
+        # both roots of each pair in one scan cell: found through the dip
+        # test the scan runs, on the pencil route too
+        for path, _ in close_pairs():
+            self.assert_same_census(path)
+        assert routes == {"pencil": 10, "scan": 0}
+
+    def test_root_signatures_sum_to_total_flow(self):
+        # sign(v^T B v) over the pencil's roots against the endpoint counts
+        for p in random_family():
+            t, flow, _, _ = sfpath._pencil_roots(p, 1e-8, 2e-8)
+            inside = (t > p.a) & (t < p.b)
+            assert np.all(np.abs(flow) == 1.0)
+            assert flow[inside].sum() == extended_sf(p).total_sf
+
+    def test_cancelling_pairs_and_kinks_take_no_detour(self, solved):
+        # a pair of roots at one parameter whose crossing form is indefinite
+        # has zero flow, and a root at an interior sample is seen from both
+        # of its segments at half its one-sided flow: neither needs the dip
+        # test or a bisection by real solves
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = rand_orth(rng, 6)
+            slopes, root = rng.uniform(0.5, 1.5, 2), 0.3 + 0.01 * rng.uniform()
+            other = rng.uniform(1.0, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
+            at = lambda x: (q * np.concatenate([[1.0, -1.0] * slopes * (x - root), other])) @ q.T
+            kink = lambda x: (q * np.concatenate([[slopes[int(x > root)] * (x - root)], other, [1.0]])) @ q.T
+            for p, flow in (
+                (OperatorPath.from_samples([-1.0, 1.0], [at(-1.0), at(1.0)]), 0),
+                (OperatorPath.from_samples([-1.0, root, 1.0], [kink(-1.0), kink(root), kink(1.0)]), 1),
+            ):
+                solved.clear()
+                (cr,) = locate_crossings(p)
+                assert cr.local_sf == flow and abs(cr.lambda_est - root) < 1e-8
+                assert sum(solved) <= 25
+
+    @pytest.mark.parametrize("fault", ["drop", "add", "touch"])
+    def test_faulty_pencil_still_gives_the_crossings(self, monkeypatch, fault):
+        rng = np.random.default_rng(3)
+        segment_roots = sfpath._segment_roots
+
+        def faulty(path, k, *args):
+            t, flow, err, touch = segment_roots(path, k, *args)
+            if fault == "drop":
+                keep = np.arange(t.size) != rng.integers(t.size)
+                return t[keep], flow[keep], err[keep], touch
+            x = rng.uniform(path._lambdas[k], path._lambdas[k + 1])
+            if fault == "touch":
+                return t, flow, err, np.append(touch, x)
+            return np.append(t, x), np.append(flow, rng.choice([-1.0, 1.0])), np.append(err, 1e-12), touch
+
+        monkeypatch.setattr(sfpath, "_segment_roots", faulty)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            path, oracle = make_diag_path(rng, d, positive_slopes=bool(rng.integers(2)))
+            cr = locate_crossings(path)
+            assert [(c.kernel_dim, c.local_sf) for c in cr] == [(k, s) for _, k, s in oracle]
+            assert np.allclose([c.lambda_est for c in cr], [r for r, _, _ in oracle], atol=1e-7)
+
+    def test_singular_endpoint_rejected(self):
+        p = OperatorPath.from_samples([0.0, 0.5, 1.0], [np.diag([0.0, 1.0]), np.diag([0.5, 1.0]), np.eye(2)])
+        with pytest.raises(EndpointCrossingError):
+            locate_crossings(p)
+        # a root within eps_lambda of a clear endpoint
+        p = OperatorPath.from_samples([0.0, 1.0], [np.diag([-5e-4, 1.0]), np.diag([1.0, 1.0])])
+        with pytest.raises(EndpointCrossingError, match="reaches an endpoint"):
+            locate_crossings(p, eps_lambda=1e-3)
+
+
 class TestCrossingForm:
     def test_simple_positive(self):
         p = diag_path(-1.0, 1.0, lambda l: l, lambda l: 1.0)
@@ -333,6 +461,29 @@ class TestPathAlgebra:
         both = direct_sum(p, p)
         assert both.dim == 4
         assert extended_sf(both).total_sf == 2
+
+    def test_direct_sum_of_grid_paths(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            p, q = (
+                OperatorPath.from_samples(np.sort(np.append(rng.uniform(-1, 1, n), [-1.0, 1.0])),
+                                          [rand_sym(rng, d) for _ in range(n + 2)])
+                for n, d in ((int(rng.integers(0, 4)), int(rng.integers(1, 5))) for _ in range(2))
+            )
+            both = direct_sum(p, q)
+            assert both.is_grid and both.dim == p.dim + q.dim
+            for x in rng.uniform(-1.0, 1.0, 8):
+                blocks = np.zeros((both.dim, both.dim))
+                blocks[: p.dim, : p.dim], blocks[p.dim :, p.dim :] = p(x).entries, q(x).entries
+                np.testing.assert_allclose(both(x).entries, blocks, atol=1e-12)
+            rule = OperatorPath.from_callable(
+                -1.0, 1.0, both.dim,
+                lambda x: np.block([[p(x).entries, np.zeros((p.dim, q.dim))], [np.zeros((q.dim, p.dim)), q(x).entries]]),
+            )
+            got, want = locate_crossings(both), locate_crossings(rule)
+            assert [(c.local_sf, c.kernel_dim) for c in got] == [(c.local_sf, c.kernel_dim) for c in want]
+            assert np.allclose([c.lambda_est for c in got], [c.lambda_est for c in want], atol=1e-7)
+            TestPencilCensus.assert_same_census(both)
 
     def test_direct_sum_domain_mismatch(self):
         p = diag_path(-1.0, 1.0, lambda l: l)

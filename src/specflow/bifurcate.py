@@ -284,8 +284,8 @@ def krasnoselskii(
 
 
 def _krasnoselskii_census(K, interval, n_grid: int, eps_lambda: float) -> tuple[BifurcationReport, OperatorPath]:
-    """:func:`krasnoselskii` and the path it scanned, whose grid eigenvalues
-    are then solved already."""
+    """:func:`krasnoselskii` and the ``lambda * Id - K`` path it located the
+    crossings of."""
     K = as_sym(K)
     c, d = float(interval[0]), float(interval[1])
     if not d > c:

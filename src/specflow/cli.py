@@ -41,7 +41,7 @@ from .hamsys import (
     hamiltonian_index,
     scan_crossings_trimmed,
 )
-from .bifurcate import _krasnoselskii_census, analyze_path, krasnoselskii, sweep2d, trace_components
+from .bifurcate import _krasnoselskii_census, analyze_path, sweep2d, trace_components
 
 __all__ = ["ConfigError", "ProblemConfig", "parse_config", "serialize_config", "run", "main"]
 
@@ -217,13 +217,14 @@ def _parse_hamiltonian_periodic(data: dict, on_warning) -> dict:
             raise ConfigError(f"samples[{i}] is missing 'a0'")
         a0 = _as_matrix(s["a0"], f"samples[{i}].a0", even_dim=True)
         dims.add(len(a0))
-        cos_terms = []
-        for m, mat in enumerate(s.get("cos", [])):
-            cos_terms.append(_as_matrix(mat, f"samples[{i}].cos[{m}]"))
-        sin_terms = []
-        for m, mat in enumerate(s.get("sin", [])):
-            sin_terms.append(_as_matrix(mat, f"samples[{i}].sin[{m}]"))
-        for m, mat in enumerate(cos_terms + sin_terms):
+        terms = {}
+        for key in ("cos", "sin"):
+            mats = s.get(key, [])
+            if not isinstance(mats, list):
+                raise ConfigError(f"samples[{i}].{key} must be a list")
+            terms[key] = [_as_matrix(mat, f"samples[{i}].{key}[{m}]") for m, mat in enumerate(mats)]
+        cos_terms, sin_terms = terms["cos"], terms["sin"]
+        for mat in cos_terms + sin_terms:
             if len(mat) != len(a0):
                 raise ConfigError(f"samples[{i}] harmonic matrices must match the dimension of a0")
         bandwidth = max(bandwidth, len(cos_terms), len(sin_terms))
@@ -370,24 +371,23 @@ def _hamiltonian_path(payload: dict) -> HamiltonianPath:
 
 
 def _write_trace(path: OperatorPath, n_grid: int, out_path: str) -> None:
-    # the grid rows the crossing scan already solved
+    # the eigenvalues on the path's n_grid-point scan grid, solved here
+    lams = np.linspace(path.a, path.b, n_grid)
     row = ",".join(["%.17g"] * (path.dim + 1)) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("lambda," + ",".join(f"eig_{i + 1}" for i in range(path.dim)) + "\n")
-        for lam, w in zip(np.linspace(path.a, path.b, n_grid).tolist(), path._grid_eigvals(n_grid)):
+        for lam, w in zip(lams.tolist(), path.eigvals(lams)):
             fh.write(row % (lam, *w.tolist()))
 
 
 def _run_sf(config: ProblemConfig, grid_override: int | None):
+    p = config.payload
+    n_grid = p["grid"] if grid_override is None else grid_override
     if config.kind == "matrix_path":
-        p = config.payload
-        n_grid = grid_override or p["grid"]
         path = _operator_path(p)
         result = scan_path(path, n_grid=n_grid, zero_tol=p["zero_tol"], eps_lambda=p["eps_lambda"])
         return result.to_dict(), (path, n_grid)
-    p = config.payload
     hpath = _hamiltonian_path(p)
-    n_grid = grid_override or p["grid"]
     base, n_used, gpath = _stabilized_flow(hpath, p["n0"], p["n_cap"], p["t_samples"])
     crossings, notes = scan_crossings_trimmed(gpath, n_grid=n_grid)
     results = {
@@ -407,10 +407,10 @@ def _run_index(config: ProblemConfig):
     return res.to_dict(), None
 
 
-def _run_bifurcate(config: ProblemConfig, grid_override: int | None, trace: bool):
+def _run_bifurcate(config: ProblemConfig, grid_override: int | None):
     p = config.payload
+    n_grid = p["grid"] if grid_override is None else grid_override
     if config.kind == "matrix_path":
-        n_grid = grid_override or p["grid"]
         path = _operator_path(p)
         report = analyze_path(path, n_grid=n_grid, zero_tol=p["zero_tol"], eps_lambda=p["eps_lambda"])
         components = trace_components(
@@ -420,16 +420,11 @@ def _run_bifurcate(config: ProblemConfig, grid_override: int | None, trace: bool
         results["components"] = components.to_dict()
         return results, (path, n_grid)
     if config.kind == "krasnoselskii":
-        n_grid = grid_override or p["grid"]
-        problem = (np.array(p["matrix"]), tuple(p["interval"]), n_grid, p["eps_lambda"])
-        if not trace:
-            return krasnoselskii(*problem).to_dict(), None
-        # trace the census's own path: its scan grid is solved already
-        report, path = _krasnoselskii_census(*problem)
+        # the census hands back the lambda * Id - K path it located, for --trace
+        report, path = _krasnoselskii_census(np.array(p["matrix"]), tuple(p["interval"]), n_grid, p["eps_lambda"])
         return report.to_dict(), (path, n_grid)
     hpath = _hamiltonian_path(p)
-    n_grid = grid_override or p["grid"]
-    report = coefficient_bounds(hpath, n_grid=n_grid, N_cap=p["n_cap"], t_samples=p["t_samples"])
+    report = coefficient_bounds(hpath, n_grid=n_grid, N0=p["n0"], N_cap=p["n_cap"], t_samples=p["t_samples"])
     return report.to_dict(), None
 
 
@@ -472,6 +467,8 @@ def run(argv=None) -> int:
 
     started = time.perf_counter()
     try:
+        if args.grid is not None and args.grid < 2:
+            raise ConfigError("--grid must be at least 2")
         if args.command == "verify":
             if args.config:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -505,7 +502,7 @@ def run(argv=None) -> int:
             elif args.command == "index":
                 results, trace = _run_index(config)
             elif args.command == "bifurcate":
-                results, trace = _run_bifurcate(config, args.grid, bool(args.trace))
+                results, trace = _run_bifurcate(config, args.grid)
             else:
                 results, trace = _run_sweep(config)
         if args.trace:

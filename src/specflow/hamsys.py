@@ -567,6 +567,7 @@ def _near_integer(x: float, tol: float = 1e-9) -> bool:
 def coefficient_bounds(
     hpath: HamiltonianPath,
     n_grid: int = 256,
+    N0: int | None = None,
     N_cap: int = DEFAULT_N_CAP,
     t_samples: int = DEFAULT_T_SAMPLES,
 ) -> CoefficientBoundsReport:
@@ -575,8 +576,9 @@ def coefficient_bounds(
     Computes the endpoint eigenvalue ranges (alpha, beta), the applicable
     integer-count lower bound, and the truncated flow together with its
     comparison sandwich ``2n * delta(beta_start, alpha_end) <= sf <=
-    2n * delta(alpha_start, beta_end)``. Crossing localization trims the
-    lambda interval slightly when an endpoint itself is singular.
+    2n * delta(alpha_start, beta_end)``. The truncation starts at ``N0`` as
+    in :func:`galerkin_sf`. Crossing localization trims the lambda interval
+    slightly when an endpoint itself is singular.
     """
     two_n = 2 * hpath.n
     alpha0, beta0 = eig_range(hpath.coeffs[0], t_samples=t_samples)
@@ -603,7 +605,7 @@ def coefficient_bounds(
                 )
     sf_lower = two_n * delta(beta0, alpha1)
     sf_upper = two_n * delta(alpha0, beta1)
-    flow, n_used, gpath = _stabilized_flow(hpath, None, N_cap, t_samples)
+    flow, n_used, gpath = _stabilized_flow(hpath, N0, N_cap, t_samples)
     sf = flow.total_sf
     sandwich = sf_lower <= sf <= sf_upper
 

@@ -20,20 +20,18 @@ its dips searched. Either way the crossings partition the domain into
 cells with clear ends (no eigenvalue near zero), counted by real solves, so
 the local flows over that partition sum to ``total_sf`` by construction
 (:func:`locate_crossings`). Many parameters are evaluated at once with
-:meth:`OperatorPath.eigvals`. The uniform scan grid is solved at most once
-per path and cached: the scan and the CLI's ``--trace`` CSV read the same
-eigenvalue rows.
+:meth:`OperatorPath.eigvals`.
 
 All paths are immutable after construction and every operation is pure, so
 grid evaluations may run in parallel and merge deterministically in lambda
-order; the cached scan grid is read-only and equal to a fresh solve.
+order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -99,10 +97,7 @@ class OperatorPath:
     """A parametrized family of symmetric matrices over ``[a, b]``.
 
     ``smooth`` enables derivative-based operations (crossing forms via central
-    differences); grid paths are piecewise affine and may opt in. The
-    eigenvalues on the uniform scan grid are solved once and shared by every
-    reader of the same ``n_grid`` (:meth:`_grid_eigvals`); only the latest
-    grid size is kept.
+    differences); grid paths are piecewise affine and may opt in.
     """
 
     a: float
@@ -112,7 +107,6 @@ class OperatorPath:
     _lambdas: np.ndarray | None
     _matrices: tuple[np.ndarray, ...] | None
     _fn: Callable[[float], object] | None
-    _grid: tuple[int, np.ndarray | None] = field(default=(0, None), init=False, repr=False)
 
     @classmethod
     def from_samples(cls, lambdas: Sequence[float], matrices: Sequence, smooth: bool = False) -> "OperatorPath":
@@ -208,16 +202,6 @@ class OperatorPath:
         for i in range(0, lams.size, step):
             out[i : i + step] = _lapack(np.linalg.eigvalsh, self._values(lams[i : i + step]))
         return out
-
-    def _grid_eigvals(self, n_grid: int) -> np.ndarray:
-        """Read-only ``eigvals(np.linspace(a, b, n_grid))``, solved on the
-        first call for ``n_grid`` and returned as is until another grid size
-        replaces it."""
-        if self._grid[0] != n_grid:
-            w = self.eigvals(np.linspace(self.a, self.b, n_grid))
-            w.flags.writeable = False
-            object.__setattr__(self, "_grid", (n_grid, w))
-        return self._grid[1]
 
 
 def _paths_junction_match(p: OperatorPath, q: OperatorPath) -> bool:
@@ -693,9 +677,9 @@ def _pencil_events(path: OperatorPath, grid: np.ndarray, zero_tol: float | None,
 
 
 def _scan_events(path: OperatorPath, grid: np.ndarray, zero_tol: float | None, eps: float):
-    # (tol, events) of a path from its solved scan grid (see locate_crossings)
+    # (tol, events) of a path from its scan grid (see locate_crossings)
     a, b, n_grid = path.a, path.b, grid.size
-    w = path._grid_eigvals(n_grid)
+    w = path.eigvals(grid)
     tol = _family_tol(w, zero_tol)
     neg, neg0 = np.sum(w < -tol, axis=1), np.sum(w < 0.0, axis=1)
     minabs = np.min(np.abs(w), axis=1)
@@ -1041,16 +1025,13 @@ def verify_axioms(seed: int = 0, trials: int = 100, dims: Sequence[int] = (2, 3,
     for t in range(trials):
         d = int(rng.choice(dims))
 
-        # normalization: paths of invertible matrices have zero flow
+        # normalization: paths of invertible matrices have zero flow; the
+        # family is affine in lambda, so its two endpoints give it exactly
         q = _rand_orth(rng, d)
         signs = rng.choice([-1.0, 1.0], size=d)
         base = rng.uniform(0.4, 1.4, size=d)
         drift = rng.uniform(-0.3, 0.3, size=d)
-
-        def fn(lam, q=q, signs=signs, base=base, drift=drift):
-            return (q * (signs * (base + drift * lam))) @ q.T
-
-        p = OperatorPath.from_callable(0.0, 1.0, d, fn)
+        p = OperatorPath.from_samples([0.0, 1.0], [(q * (signs * (base + drift * lam))) @ q.T for lam in (0.0, 1.0)])
         sf = extended_sf(p).total_sf
         if sf != 0:
             fail("normalization", t, f"sf = {sf}", matrix_start=p(0.0).entries, matrix_end=p(1.0).entries)

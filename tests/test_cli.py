@@ -189,6 +189,22 @@ class TestExitCodes:
         assert run([command, "--config", str(cfg)]) == 2
         assert f"config error: {entry}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["cos", "sin"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_harmonics_not_a_list_is_2(self, tmp_path, capsys, key, value):
+        config = json.loads((CONFIGS / "periodic_family.json").read_text())
+        config["samples"][1][key] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sf", "--config", str(cfg)]) == 2
+        assert f"config error: samples[1].{key} must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two_is_2(self, capsys, grid):
+        for command in ("sf", "bifurcate"):
+            assert run([command, "--config", str(CONFIGS / "path_basic.json"), "--grid", grid]) == 2
+            assert "config error: --grid must be at least 2" in capsys.readouterr().err
+
     def test_nonstabilization_is_3(self, tmp_path, capsys):
         text = json.dumps(
             {
@@ -338,9 +354,8 @@ class TestReports:
         def refuse(*args, **kwargs):
             raise AssertionError("trace data built without --trace")
 
+        # the trace rows are solved where they are written
         monkeypatch.setattr(cli, "_write_trace", refuse)
-        # the census that also hands back its path, for the trace rows
-        monkeypatch.setattr(cli, "_krasnoselskii_census", refuse)
         for command, config in (
             ("sf", "path_basic.json"),
             ("bifurcate", "path_basic.json"),
@@ -377,6 +392,16 @@ class TestReports:
         )
         assert rc == 0
         assert json.loads(text)["results"]["grid_points_used"] == 64
+
+    def test_n0_reaches_sf_and_bifurcate(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**json.loads((CONFIGS / "periodic_family.json").read_text()), "n0": 40}))
+        used = []
+        for command in ("sf", "bifurcate"):
+            rc, text = run_to_text([command, "--config", str(cfg)], tmp_path, f"{command}.json")
+            assert rc == 0
+            used.append(json.loads(text)["results"]["n_used"])
+        assert used == [80, 80]
 
     def test_periodic_family_report(self, tmp_path):
         rc, text = run_to_text(["bifurcate", "--config", str(CONFIGS / "periodic_family.json")], tmp_path)

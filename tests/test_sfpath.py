@@ -79,26 +79,6 @@ class TestEigvals:
                 want = np.array([np.linalg.eigvalsh(p(x).entries) for x in xs])
                 assert np.array_equal(p.eigvals(xs), want)
 
-    def test_scan_grid_is_solved_once(self, solved):
-        rng = np.random.default_rng(6)
-        d = 12
-        k, u = rand_sym(rng, d), np.triu(rng.normal(size=(d, d)))
-        grid_path = OperatorPath.from_samples([-1.0, 0.2, 1.0], [rand_sym(rng, d) for _ in range(3)])
-        rule_path = OperatorPath.from_callable(-1.0, 1.0, d, lambda x: np.cos(x) * k + x * u)
-        for p in (grid_path, rule_path):
-            w = p._grid_eigvals(64)
-            assert np.array_equal(w, p.eigvals(np.linspace(-1.0, 1.0, 64)))
-            assert not w.flags.writeable
-            solved.clear()
-            assert p._grid_eigvals(64) is w and not solved
-            # another grid size replaces the one entry
-            w33 = p._grid_eigvals(33)
-            assert sum(solved) == 33
-            assert np.array_equal(w33, p.eigvals(np.linspace(-1.0, 1.0, 33)))
-            solved.clear()
-            assert p._grid_eigvals(33) is w33 and not solved
-            assert p._grid_eigvals(64) is not w and sum(solved) == 64
-
     def test_rule_outputs_are_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             OperatorPath.from_callable(0.0, 1.0, 3, lambda x: np.eye(2)).eigvals([0.5])
@@ -572,6 +552,13 @@ class TestVerifyAxioms:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             verify_axioms(seed=0, trials=0)
+
+    def test_builds_only_grid_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_axioms built a path from an evaluation rule")
+
+        monkeypatch.setattr(OperatorPath, "from_callable", refuse)
+        assert verify_axioms(seed=0, trials=20).all_passed
 
 
 class TestScanPath:
